@@ -1,0 +1,82 @@
+"""Byte-exact golden reports.
+
+Every scenario under `scenarios/` must replay to exactly the JSON committed in
+`tests/golden/<name>.json`, and `revtok oracle --trials 10000 --seed 41` must
+print exactly `tests/golden/oracle_10000_41.json`.  The oracle report carries
+only counts, so the same 10000 trials are also hashed, freeze output and all,
+against a committed digest.
+
+A golden file changes only in a change that means to change that report; it is
+regenerated with `revtok replay SCENARIO --out FILE` (or `revtok oracle ...
+--out FILE`) and the reason goes into CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from revtok.cli import main as cli_main
+from revtok.oracle import GOVERNANCE, SHAPES, _replay_on_engine, generate_trial
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+SCENARIOS = sorted((ROOT / "scenarios").glob("*.scn"))
+
+ORACLE_ARGS = ["--trials", "10000", "--seed", "41"]
+ORACLE_GOLDEN = GOLDEN / "oracle_10000_41.json"
+# SHA-256 over the freeze output of each of the 10000 trials above.
+TRIAL_DIGEST = "3823fdf00ee1b380ceb2250fa7aaa0dd91b42413f7012777f477dd9eb71d7f5a"
+
+
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_scenario_report_is_byte_identical(path, tmp_path):
+    out = tmp_path / "report.json"
+    cli_main(["replay", str(path), "--out", str(out)])
+    assert out.read_bytes() == (GOLDEN / f"{path.stem}.json").read_bytes()
+
+
+def test_oracle_report_is_byte_identical(tmp_path):
+    out = tmp_path / "oracle.json"
+    assert cli_main(["oracle", *ORACLE_ARGS, "--out", str(out)]) == 0
+    assert out.read_bytes() == ORACLE_GOLDEN.read_bytes()
+
+
+def trial_digest(trials: int, seed: int) -> str:
+    """Hash every trial's traced graph and freeze plan, in the order
+    `oracle_check(trials, seed, "mixed")` generates them."""
+    master = random.Random(seed)
+    digest = hashlib.sha256()
+    for index in range(trials):
+        rng = random.Random(master.getrandbits(64))
+        spec = generate_trial(rng, SHAPES[index % len(SHAPES)], rng.random() < 0.3)
+        ledger, engine, ref = _replay_on_engine(spec)
+        victim = ledger.log.resolve(ref).sender
+        claim = engine.claims[
+            engine.execute_freeze(ref, victim, ledger.current_block, GOVERNANCE)
+        ]
+        plan = claim.plan
+        row = [
+            claim.graph_edges,
+            sorted(plan.to_freeze.items()),
+            sorted(plan.obligations.items()),
+            sorted(plan.absorbed_by_burn.items()),
+            sorted(plan.residual.items()),
+            [
+                (r.ref.epoch, r.ref.sender, r.ref.index, r.src, r.dst, r.seq,
+                 r.value, r.obligation)
+                for r in plan.per_edge
+            ],
+            plan.nodes_visited,
+            plan.edges_touched,
+        ]
+        digest.update(json.dumps(row).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_oracle_trials_freeze_identically():
+    assert trial_digest(10000, 41) == TRIAL_DIGEST
