@@ -33,6 +33,7 @@ from .errors import (
     PhaseError,
     PoolTooSmallError,
     UnknownCaseError,
+    UnknownSpenditureError,
     UnknownTokenError,
     WindowElapsedError,
 )
@@ -403,14 +404,15 @@ class Governance:
 
     def _try_freeze(self, case: Case, block: int) -> bool:
         """Run the approved freeze; a freeze the engine can no longer perform
-        (window elapsed while the vote ran, dead index, already frozen)
-        dismisses the case rather than crashing the tally."""
+        (the window elapsed while the vote ran, the disputed record's bucket
+        was cleaned since submission, the NFT is already frozen) dismisses the
+        case rather than crashing the tally."""
         if isinstance(case.target, FungibleTarget):
             try:
                 case.claim_id = self.freeze_engine.execute_freeze(
                     case.target.ref, case.claimant, block, self.identity
                 )
-            except WindowElapsedError:
+            except (WindowElapsedError, UnknownSpenditureError):
                 return False
             return True
         return self.nft.freeze(
