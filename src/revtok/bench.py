@@ -35,26 +35,15 @@ def random_dag(nodes: int, edges: int, seed: int) -> tuple[TransferGraph, dict[s
         j = rng.randint(i + 1, nodes - 1)
         raw.append((i, j, rng.randint(1, 100)))
     raw.sort(key=lambda e: e[0])
-    graph = TransferGraph(root=names[0], root_arrival_seq=0, nodes=list(names))
-    # One source's edges must sit newest-first; assign seqs ascending within
-    # each source block, then reverse the block.
-    seq = 1
-    index = 0
-    while index < len(raw):
-        start = index
-        src = raw[index][0]
-        while index < len(raw) and raw[index][0] == src:
-            index += 1
-        block = raw[start:index]
-        seqs = list(range(seq, seq + len(block)))
-        seq += len(block)
-        for (src_i, dst_i, value), edge_seq in zip(reversed(block), reversed(seqs)):
-            graph.edges.append(
-                GraphEdge(
-                    names[src_i], names[dst_i], value, edge_seq,
-                    SpendRef(0, names[src_i], 0),
-                )
-            )
+    graph = TransferGraph(root=names[0], root_arrival_seq=0, out={n: [] for n in names})
+    # One source's edges must sit newest-first: assign seqs ascending, then
+    # reverse each source's list.
+    for seq, (src_i, dst_i, value) in enumerate(raw, start=1):
+        graph.out[names[src_i]].append(
+            GraphEdge(names[src_i], names[dst_i], value, seq, SpendRef(0, names[src_i], 0))
+        )
+    for edges in graph.out.values():
+        edges.reverse()
     balances = {name: 0 for name in names}
     return graph, balances
 

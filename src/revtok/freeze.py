@@ -54,22 +54,24 @@ class GraphEdge:
 class TransferGraph:
     """Trace graph rooted at the disputed recipient.
 
-    `nodes` is in discovery order.  Within `edges`, the edges of one source
-    appear newest-first; the freeze pass relies on that order instead of
-    sorting, which keeps it linear in the graph size.
+    `out` is the graph's only edge store: its keys are the nodes in discovery
+    order, its values each node's outgoing edges, newest-first.  The freeze
+    pass relies on that order instead of sorting, which keeps it linear in
+    the graph size.
     """
 
     root: Address
     root_arrival_seq: int
-    nodes: list[Address] = field(default_factory=list)
-    edges: list[GraphEdge] = field(default_factory=list)
+    out: dict[Address, list[GraphEdge]] = field(default_factory=dict)
     burned_at: dict[Address, int] = field(default_factory=dict)
 
-    def adjacency(self) -> dict[Address, list[GraphEdge]]:
-        adj: dict[Address, list[GraphEdge]] = {n: [] for n in self.nodes}
-        for e in self.edges:
-            adj[e.src].append(e)
-        return adj
+    @property
+    def nodes(self) -> list[Address]:
+        return list(self.out)
+
+    @property
+    def edges(self) -> list[GraphEdge]:
+        return [e for edges in self.out.values() for e in edges]
 
 
 def build_graph(log: SpendLog, disputed: SpendRef, freeze_seq: int) -> TransferGraph:
@@ -97,12 +99,12 @@ def build_graph(log: SpendLog, disputed: SpendRef, freeze_seq: int) -> TransferG
         if node in settled:
             continue
         settled.add(node)
-        graph.nodes.append(node)
+        edges = graph.out[node] = []
         for ref, out in log.outgoing_between(node, at, freeze_seq):
             if out.to is None:
                 graph.burned_at[node] = graph.burned_at.get(node, 0) + out.amount
                 continue
-            graph.edges.append(GraphEdge(node, out.to, out.amount, out.seq, ref))
+            edges.append(GraphEdge(node, out.to, out.amount, out.seq, ref))
             if out.to not in settled and out.seq < arrival.get(out.to, freeze_seq):
                 arrival[out.to] = out.seq
                 heapq.heappush(heap, (out.seq, out.to))
@@ -114,11 +116,11 @@ def _find_cycle(graph: TransferGraph) -> list[GraphEdge] | None:
 
     Iterative DFS over the multigraph; a self-edge is a one-edge cycle.
     """
-    adj = graph.adjacency()
+    adj = graph.out
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in graph.nodes}
+    color = dict.fromkeys(adj, WHITE)
     entered_via: dict[Address, GraphEdge] = {}
-    for start in graph.nodes:
+    for start in adj:
         if color[start] != WHITE:
             continue
         color[start] = GRAY
@@ -162,7 +164,7 @@ def eliminate_cycles(graph: TransferGraph) -> TransferGraph:
         for edge in cycle:
             if edge is not weakest:
                 edge.value -= weakest.value
-        graph.edges.remove(weakest)
+        graph.out[weakest.src].remove(weakest)
 
 
 @dataclass
@@ -224,12 +226,13 @@ def calc_freeze(graph: TransferGraph, demand: int, balance_of) -> FreezePlan:
     O(nodes + edges); the plan records the touch counts.
     """
     plan = FreezePlan(root=graph.root, demand=demand)
-    adj = graph.adjacency()
-    indegree = {n: 0 for n in graph.nodes}
-    for e in graph.edges:
-        indegree[e.dst] += 1
-    queue = [n for n in graph.nodes if indegree[n] == 0]
-    obligations = {n: 0 for n in graph.nodes}
+    adj = graph.out
+    indegree = dict.fromkeys(adj, 0)
+    for edges in adj.values():
+        for e in edges:
+            indegree[e.dst] += 1
+    queue = [n for n in adj if indegree[n] == 0]
+    obligations = dict.fromkeys(adj, 0)
     obligations[graph.root] = demand
     head = 0
     while head < len(queue):
@@ -258,7 +261,7 @@ def calc_freeze(graph: TransferGraph, demand: int, balance_of) -> FreezePlan:
             indegree[edge.dst] -= 1
             if indegree[edge.dst] == 0:
                 queue.append(edge.dst)
-    assert len(queue) == len(graph.nodes), "graph fed to calc_freeze must be acyclic"
+    assert len(queue) == len(adj), "graph fed to calc_freeze must be acyclic"
     plan.obligations = obligations
     return plan
 

@@ -37,7 +37,6 @@ GOVERNANCE = "governance"
 # ops are tuples:
 #   ("mint", to, amount) | ("advance", block) | ("transfer", frm, to, amount)
 #   | ("rtransfer", frm, to, amount) | ("rburn", frm, amount)
-LOGGED = {"transfer", "rtransfer", "rburn"}
 
 
 @dataclass
@@ -102,23 +101,8 @@ def _generate_generic(rng: random.Random, burns: bool) -> TrialSpec:
         if not candidates:
             break
         frm = rng.choice(candidates)
-        if burns and r[frm] > 0 and rng.random() < 0.25:
-            amount = rng.randint(1, min(r[frm], 100))
-            ops.append(("rburn", frm, amount))
-            r[frm] -= amount
-            continue
-        use_r = r[frm] > 0 and (nr[frm] == 0 or rng.random() < 0.7)
-        pool = r[frm] if use_r else nr[frm]
-        if pool == 0:
-            continue
-        amount = rng.randint(1, min(pool, 100))
-        to = rng.choice(addrs + [victim])  # self- and back-transfers welcome
-        ops.append(("rtransfer" if use_r else "transfer", frm, to, amount))
-        if use_r:
-            r[frm] -= amount
-        else:
-            nr[frm] -= amount
-        r[to] += amount
+        # self- and back-transfers welcome
+        _spend(rng, ops, r, nr, frm, lambda: rng.choice(addrs + [victim]), burns)
     return TrialSpec(ops, dispute, "generic", burns)
 
 
@@ -155,25 +139,30 @@ def _generate_layered(rng: random.Random, burns: bool) -> TrialSpec:
         if not lows:
             break
         i = rng.choice(lows)
-        frm = addrs[i]
-        if burns and r[frm] > 0 and rng.random() < 0.25:
-            amount = rng.randint(1, min(r[frm], 100))
-            ops.append(("rburn", frm, amount))
-            r[frm] -= amount
-            continue
-        use_r = r[frm] > 0 and (nr[frm] == 0 or rng.random() < 0.7)
-        pool = r[frm] if use_r else nr[frm]
-        if pool == 0:
-            continue
-        amount = rng.randint(1, min(pool, 100))
-        to = addrs[rng.randint(i + 1, count - 1)]
-        ops.append(("rtransfer" if use_r else "transfer", frm, to, amount))
-        if use_r:
-            r[frm] -= amount
-        else:
-            nr[frm] -= amount
-        r[to] += amount
+        _spend(rng, ops, r, nr, addrs[i],
+               lambda: addrs[rng.randint(i + 1, count - 1)], burns)
     return TrialSpec(ops, dispute, "layered", burns)
+
+
+def _spend(rng, ops, r, nr, frm, pick_to, burns) -> None:
+    """One post-dispute move by `frm`: with burns, a quarter of the time a burn
+    of reversible funds; otherwise a transfer to pick_to() from reversible
+    funds, or from non-reversible ones when it holds no reversible funds or,
+    holding both kinds, three times in ten."""
+    if burns and r[frm] > 0 and rng.random() < 0.25:
+        amount = rng.randint(1, min(r[frm], 100))
+        ops.append(("rburn", frm, amount))
+        r[frm] -= amount
+        return
+    use_r = r[frm] > 0 and (nr[frm] == 0 or rng.random() < 0.7)
+    pool = r if use_r else nr
+    if pool[frm] == 0:
+        return
+    amount = rng.randint(1, min(pool[frm], 100))
+    to = pick_to()
+    ops.append(("rtransfer" if use_r else "transfer", frm, to, amount))
+    pool[frm] -= amount
+    r[to] += amount
 
 
 def _generate_interleaved(rng: random.Random, burns: bool) -> TrialSpec:
@@ -249,19 +238,38 @@ def _replay_on_engine(spec: TrialSpec):
     return ledger, engine, dispute_ref
 
 
-def _raw_records(spec: TrialSpec) -> list[tuple[str, str | None, int]]:
-    """(sender, to, amount) per seq, replayed from the op list alone."""
-    records = []
-    for op in spec.ops:
+def _trace_raw(spec: TrialSpec):
+    """Replay the taint trace from the op list alone.
+
+    Returns the raw records as (sender, to, amount) per seq, the disputed
+    record's seq t0, each tainted address's earliest arrival seq, the tainted
+    edges as (src, dst, amount, seq), and the burns each tainted address made
+    after its arrival.
+    """
+    records: list[tuple[str, str | None, int]] = []
+    t0 = -1
+    for i, op in enumerate(spec.ops):
+        if i == spec.dispute:
+            t0 = len(records)
         if op[0] == "transfer" or op[0] == "rtransfer":
             records.append((op[1], op[2], op[3]))
         elif op[0] == "rburn":
             records.append((op[1], None, op[2]))
-    return records
-
-
-def _dispute_seq(spec: TrialSpec) -> int:
-    return sum(1 for op in spec.ops[: spec.dispute] if op[0] in LOGGED)
+    arrival = {records[t0][1]: t0}
+    edges = []  # (src, dst, amount, seq)
+    burned: dict[str, int] = {}
+    for seq in range(t0 + 1, len(records)):
+        sender, to, amount = records[seq]
+        at = arrival.get(sender)
+        if at is None or seq <= at:
+            continue
+        if to is None:
+            burned[sender] = burned.get(sender, 0) + amount
+            continue
+        edges.append((sender, to, amount, seq))
+        if to not in arrival or seq < arrival[to]:
+            arrival[to] = seq
+    return records, t0, arrival, edges, burned
 
 
 def reference_freeze(spec: TrialSpec) -> dict[str, int]:
@@ -285,24 +293,8 @@ def reference_freeze(spec: TrialSpec) -> dict[str, int]:
             r[op[2]] = r.get(op[2], 0) + op[3]
         elif op[0] == "rburn":
             r[op[1]] -= op[2]
-    records = _raw_records(spec)
-    t0 = _dispute_seq(spec)
+    records, t0, arrival, edges, burned = _trace_raw(spec)
     root, demand = records[t0][1], records[t0][2]
-
-    arrival = {root: t0}
-    edges = []  # (src, dst, amount, seq)
-    burned: dict[str, int] = {}
-    for seq in range(t0 + 1, len(records)):
-        sender, to, amount = records[seq]
-        at = arrival.get(sender)
-        if at is None or seq <= at:
-            continue
-        if to is None:
-            burned[sender] = burned.get(sender, 0) + amount
-            continue
-        edges.append((sender, to, amount, seq))
-        if to not in arrival or seq < arrival[to]:
-            arrival[to] = seq
 
     nodes = list(arrival)
     outgoing: dict[str, list[tuple[str, str, int, int]]] = {n: [] for n in nodes}
@@ -373,7 +365,7 @@ def run_and_check(spec: TrialSpec) -> list[str]:
         bad("linearity", f"touched {plan.edges_touched} of {len(graph_edges)} edges")
 
     # Burn absorption can never exceed what was actually burned post-arrival.
-    expected_burn = _burned_after_arrival(spec)
+    expected_burn = _trace_raw(spec)[4]
     for addr, absorbed in plan.absorbed_by_burn.items():
         if absorbed > expected_burn.get(addr, 0):
             bad("burn", f"{addr} absorbed {absorbed} > burned {expected_burn.get(addr, 0)}")
@@ -399,23 +391,6 @@ def run_and_check(spec: TrialSpec) -> list[str]:
     return violations
 
 
-def _burned_after_arrival(spec: TrialSpec) -> dict[str, int]:
-    records = _raw_records(spec)
-    t0 = _dispute_seq(spec)
-    arrival = {records[t0][1]: t0}
-    burned: dict[str, int] = {}
-    for seq in range(t0 + 1, len(records)):
-        sender, to, amount = records[seq]
-        at = arrival.get(sender)
-        if at is None or seq <= at:
-            continue
-        if to is None:
-            burned[sender] = burned.get(sender, 0) + amount
-        elif to not in arrival or seq < arrival[to]:
-            arrival[to] = seq
-    return burned
-
-
 def _check_obligation_bound(spec: TrialSpec, plan, demand: int) -> list[str]:
     """Audit the per-edge instrumentation rows against the raw op list.
 
@@ -429,21 +404,9 @@ def _check_obligation_bound(spec: TrialSpec, plan, demand: int) -> list[str]:
     raw transfer moved.  Finally each node's books must balance exactly:
     frozen + absorbed-by-burn + stranded + passed-on == reached.
     """
-    records = _raw_records(spec)
-    t0 = _dispute_seq(spec)
+    records, t0, arrival, _edges, _burned = _trace_raw(spec)
     root = records[t0][1]
     violations: list[str] = []
-
-    # Earliest block-order moment tainted funds can reach each address,
-    # replayed from the raw records alone.
-    arrival = {root: t0}
-    for seq in range(t0 + 1, len(records)):
-        sender, to, _amount = records[seq]
-        at = arrival.get(sender)
-        if at is None or seq <= at or to is None:
-            continue
-        if to not in arrival or seq < arrival[to]:
-            arrival[to] = seq
 
     inflow: dict[str, int] = {}
     outflow: dict[str, int] = {}

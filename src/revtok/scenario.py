@@ -92,13 +92,6 @@ def parse_scenario(text: str) -> list[ScenarioOp]:
     return ops
 
 
-_INT_KEYS = {
-    "amount", "to_block", "epoch", "index", "token", "stake", "tip", "case",
-    "length", "value_int", "r", "nr", "frozen", "available", "minted",
-    "burned", "circulating", "original", "seq",
-}
-
-
 def _int_param(op: ScenarioOp, raw: str, key: str, required: bool = True) -> int | None:
     value = op.params.get(key)
     if value is None:
@@ -116,7 +109,7 @@ def _int_param(op: ScenarioOp, raw: str, key: str, required: bool = True) -> int
     return n
 
 
-def _require(op: ScenarioOp, raw: str, *keys: str) -> None:
+def _require(op: ScenarioOp, *keys: str) -> None:
     for key in keys:
         if key not in op.params:
             raise ParseError(f"'{op.name}' needs {key}=", op.line)
@@ -156,7 +149,7 @@ _OP_REQUIRED = {
 
 
 def _validate_op(op: ScenarioOp, raw: str) -> None:
-    _require(op, raw, *_OP_REQUIRED.get(op.name, []))
+    _require(op, *_OP_REQUIRED.get(op.name, []))
     for key in _OP_INT_FIELDS.get(op.name, []):
         _int_param(op, raw, key)
     if op.name == "burn" and op.params.get("source", "nonreversible") not in (
@@ -166,11 +159,11 @@ def _validate_op(op: ScenarioOp, raw: str) -> None:
     if op.name == "submitFreeze":
         kind = op.params["kind"]
         if kind == "fungible":
-            _require(op, raw, "epoch", "from", "index")
+            _require(op, "epoch", "from", "index")
             _int_param(op, raw, "epoch")
             _int_param(op, raw, "index")
         elif kind == "nft":
-            _require(op, raw, "token", "index")
+            _require(op, "token", "index")
             _int_param(op, raw, "token")
             _int_param(op, raw, "index")
         else:
@@ -178,7 +171,7 @@ def _validate_op(op: ScenarioOp, raw: str) -> None:
         _int_param(op, raw, "stake")
         _int_param(op, raw, "tip", required=False)
     if op.name == "commit" and "commitment" not in op.params:
-        _require(op, raw, "vote", "salt")
+        _require(op, "vote", "salt")
     if op.name in ("commit", "reveal") and "vote" in op.params:
         if op.params["vote"] not in ("approve", "reject"):
             raise ParseError("vote must be approve or reject", op.line)
@@ -213,11 +206,22 @@ class RunResult:
         return json.dumps(self.report, sort_keys=True, indent=2) + "\n"
 
 
-_CONFIG_KEYS = {
-    "delta", "window", "judgeFee", "minStake", "n", "freezeThreshold",
-    "trialThreshold", "revealDeadline", "strikeLimit", "minorityRatio",
-    "minCases", "extremeMinority", "tipTo",
+# Config key -> (FeePolicy field, parser).  delta and window configure the
+# EpochConfig instead.
+_POLICY_KEYS = {
+    "judgeFee": ("judge_fee", int),
+    "n": ("quorum_size", int),
+    "minStake": ("min_stake", int),
+    "freezeThreshold": ("freeze_threshold", int),
+    "trialThreshold": ("trial_threshold", int),
+    "revealDeadline": ("reveal_deadline", int),
+    "strikeLimit": ("strike_limit", int),
+    "minorityRatio": ("minority_ratio", float),
+    "minCases": ("min_cases", int),
+    "extremeMinority": ("extreme_minority_max", int),
+    "tipTo": ("tip_to", str),
 }
+_CONFIG_KEYS = {"delta", "window", *_POLICY_KEYS}
 
 
 class ScenarioRunner:
@@ -245,34 +249,13 @@ class ScenarioRunner:
             epoch_length=int(cfg.get("delta", 1000)),
             dispute_window=int(cfg.get("window", 24000)),
         )
-        policy_kwargs: dict[str, Any] = {}
-        if "judgeFee" in cfg:
-            policy_kwargs["judge_fee"] = int(cfg["judgeFee"])
-        if "n" in cfg:
-            policy_kwargs["quorum_size"] = int(cfg["n"])
-        if "minStake" in cfg:
-            policy_kwargs["min_stake"] = int(cfg["minStake"])
-        elif "n" in cfg or "judgeFee" in cfg:
-            policy_kwargs["min_stake"] = (
-                2 * policy_kwargs.get("quorum_size", 12)
-                * policy_kwargs.get("judge_fee", 1)
-            )
-        if "freezeThreshold" in cfg:
-            policy_kwargs["freeze_threshold"] = int(cfg["freezeThreshold"])
-        if "trialThreshold" in cfg:
-            policy_kwargs["trial_threshold"] = int(cfg["trialThreshold"])
-        if "revealDeadline" in cfg:
-            policy_kwargs["reveal_deadline"] = int(cfg["revealDeadline"])
-        if "strikeLimit" in cfg:
-            policy_kwargs["strike_limit"] = int(cfg["strikeLimit"])
-        if "minorityRatio" in cfg:
-            policy_kwargs["minority_ratio"] = float(cfg["minorityRatio"])
-        if "minCases" in cfg:
-            policy_kwargs["min_cases"] = int(cfg["minCases"])
-        if "extremeMinority" in cfg:
-            policy_kwargs["extreme_minority_max"] = int(cfg["extremeMinority"])
-        if "tipTo" in cfg:
-            policy_kwargs["tip_to"] = cfg["tipTo"]
+        policy_kwargs: dict[str, Any] = {
+            name: parse(cfg[key]) for key, (name, parse) in _POLICY_KEYS.items() if key in cfg
+        }
+        n = policy_kwargs.get("quorum_size", FeePolicy.quorum_size)
+        fee = policy_kwargs.get("judge_fee", FeePolicy.judge_fee)
+        # Unless configured, the stake covers two rounds of judge fees.
+        policy_kwargs.setdefault("min_stake", 2 * n * fee)
 
         self.ledger = TokenLedger(epoch_config)
         self.freeze = FreezeEngine(self.ledger, governance="governance")

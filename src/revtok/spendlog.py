@@ -132,10 +132,6 @@ class SpendLog:
         window.reverse()
         return window
 
-    def bucket_records(self, epoch: int, sender: Address) -> list[SpendRecord]:
-        """The live records of one bucket (empty list if the bucket is gone)."""
-        return list(self._buckets.get((epoch, sender), ()))
-
     def bucket_status(self, epoch: int, sender: Address, current_block: int) -> str:
         """Cleanability of a bucket: 'empty', 'window-open', or 'ready'.
 

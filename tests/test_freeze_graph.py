@@ -80,9 +80,8 @@ def test_per_source_edges_are_newest_first(ledger):
     ledger.rtransfer("a0", "a2", 1, block=2)
     ledger.rtransfer("a0", "a3", 1, block=3)
     g = graph_of(ledger, ref)
-    adj = g.adjacency()
-    assert [e.dst for e in adj["a0"]] == ["a3", "a2", "a1"]
-    seqs = [e.seq for e in adj["a0"]]
+    assert [e.dst for e in g.out["a0"]] == ["a3", "a2", "a1"]
+    seqs = [e.seq for e in g.out["a0"]]
     assert seqs == sorted(seqs, reverse=True)
 
 
@@ -100,13 +99,11 @@ def edge(src, dst, value, seq):
 
 
 def manual_graph(root, edges):
-    nodes = [root]
+    out = {root: []}
     for e in edges:
-        for n in (e.src, e.dst):
-            if n not in nodes:
-                nodes.append(n)
-    return TransferGraph(root=root, root_arrival_seq=-1, nodes=nodes,
-                         edges=list(edges), burned_at={})
+        out.setdefault(e.src, []).append(e)
+        out.setdefault(e.dst, [])
+    return TransferGraph(root=root, root_arrival_seq=-1, out=out, burned_at={})
 
 
 def has_cycle(edges):
