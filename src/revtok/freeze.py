@@ -273,34 +273,20 @@ class ClaimStatus(enum.Enum):
 
 
 @dataclass
-class ClaimEntry:
-    """One claim row.
+class Claim:
+    """A filed freeze.
 
-    Rows with ref=None record an amount frozen at `address`; settlement moves
-    or releases exactly these.  Rows with a ref record the obligation
-    subtracted from that spend record, restored only if the claim is rejected.
+    The plan is the claim's only record of what it locked: its nonzero
+    to_freeze amounts are what settlement moves or releases, and its nonzero
+    per_edge obligations are the record debits a rejection restores.
     """
 
-    address: Address
-    ref: SpendRef | None
-    amount: int
-
-
-@dataclass
-class Claim:
     claim_id: str
     victim: Address
     disputed: SpendRef
-    entries: list[ClaimEntry]
     status: ClaimStatus
     plan: FreezePlan
     graph_edges: list[tuple[Address, Address, int, int]]  # (src, dst, value, seq) after cancelling
-
-    def freeze_rows(self) -> list[ClaimEntry]:
-        return [e for e in self.entries if e.ref is None]
-
-    def debit_rows(self) -> list[ClaimEntry]:
-        return [e for e in self.entries if e.ref is not None]
 
 
 class FreezeEngine:
@@ -344,8 +330,8 @@ class FreezeEngine:
         The demand is the record's remaining amount, so coins already claimed
         through this record cannot be frozen a second time.  Applying the plan
         raises every to_freeze account's frozen total, subtracts each per-edge
-        obligation from its record, and files a claim holding both kinds of
-        row for later settlement.
+        obligation from its record, and files a claim that keeps the plan for
+        later settlement.
         """
         self._require_governance(caller)
         record = self.ledger.log.resolve(disputed)
@@ -358,15 +344,6 @@ class FreezeEngine:
                 f"record from block {record.block} is outside the window at {current_block}"
             )
         graph, plan = self.plan_freeze(disputed)
-
-        entries: list[ClaimEntry] = []
-        for addr, amount in plan.to_freeze.items():
-            if amount > 0:
-                entries.append(ClaimEntry(addr, None, amount))
-        for row in plan.per_edge:
-            if row.obligation > 0:
-                entries.append(ClaimEntry(row.src, row.ref, row.obligation))
-
         claim_id = hashlib.sha256(
             b"claim|%d|%d|%s|%d|%d"
             % (len(self.claim_order), disputed.epoch, disputed.sender.encode(),
@@ -374,20 +351,20 @@ class FreezeEngine:
         ).hexdigest()
 
         # All validation is done; apply.
-        for entry in entries:
-            if entry.ref is None:
-                acct = self.ledger._acct(entry.address)
-                acct.frozen += entry.amount
+        for addr, amount in plan.to_freeze.items():
+            if amount > 0:
+                acct = self.ledger._acct(addr)
+                acct.frozen += amount
                 assert acct.frozen <= acct.reversible
-            else:
-                rec = self.ledger.log.resolve(entry.ref)
-                rec.amount -= entry.amount
+        for row in plan.per_edge:
+            if row.obligation > 0:
+                rec = self.ledger.log.resolve(row.ref)
+                rec.amount -= row.obligation
                 assert rec.amount >= 0
         claim = Claim(
             claim_id=claim_id,
             victim=victim,
             disputed=disputed,
-            entries=entries,
             status=ClaimStatus.FROZEN,
             plan=plan,
             graph_edges=[(e.src, e.dst, e.value, e.seq) for e in graph.edges],
@@ -397,7 +374,7 @@ class FreezeEngine:
         return claim_id
 
     def reverse(self, claim_id: str, caller: Address) -> int:
-        """Move every frozen row of the claim to the victim.
+        """Move every amount the claim froze to the victim.
 
         The victim is credited reversibly, and the payout is logged as a spend
         from a synthetic claim sender so the reversal itself stays traceable.
@@ -407,13 +384,13 @@ class FreezeEngine:
         claim = self._claim(claim_id)
         if claim.status is not ClaimStatus.FROZEN:
             raise ClaimNotFrozenError(f"claim {claim_id} is {claim.status.value}")
-        total = 0
-        for row in claim.freeze_rows():
-            acct = self.ledger._acct(row.address)
-            acct.reversible -= row.amount
-            acct.frozen -= row.amount
-            assert acct.reversible >= 0 and acct.frozen >= 0
-            total += row.amount
+        for addr, amount in claim.plan.to_freeze.items():
+            if amount > 0:
+                acct = self.ledger._acct(addr)
+                acct.reversible -= amount
+                acct.frozen -= amount
+                assert acct.reversible >= 0 and acct.frozen >= 0
+        total = claim.plan.total_frozen
         if total:
             self.ledger._acct(claim.victim).reversible += total
             self.ledger.log.record(
@@ -426,7 +403,7 @@ class FreezeEngine:
         return total
 
     def reject_reverse(self, claim_id: str, caller: Address) -> None:
-        """Release the claim's frozen rows and restore its record debits.
+        """Release the claim's frozen amounts and restore its record debits.
 
         Restoration is skipped for refs whose bucket has been cleaned in the
         meantime; the coins matured and there is nothing left to restore to.
@@ -435,16 +412,17 @@ class FreezeEngine:
         claim = self._claim(claim_id)
         if claim.status is not ClaimStatus.FROZEN:
             raise ClaimNotFrozenError(f"claim {claim_id} is {claim.status.value}")
-        for row in claim.entries:
-            if row.ref is None:
-                acct = self.ledger._acct(row.address)
-                acct.frozen -= row.amount
+        for addr, amount in claim.plan.to_freeze.items():
+            if amount > 0:
+                acct = self.ledger._acct(addr)
+                acct.frozen -= amount
                 assert acct.frozen >= 0
-            else:
+        for row in claim.plan.per_edge:
+            if row.obligation > 0:
                 try:
                     rec = self.ledger.log.resolve(row.ref)
                 except UnknownSpenditureError:
                     continue
-                rec.amount += row.amount
+                rec.amount += row.obligation
                 assert rec.amount <= rec.original_amount
         claim.status = ClaimStatus.REJECTED

@@ -79,11 +79,10 @@ class SpendLog:
 
     def __init__(self, config: EpochConfig | None = None):
         self.config = config or EpochConfig()
-        self._buckets: dict[tuple[int, Address], list[SpendRecord]] = {}
-        # Chronological (= seq-ordered) per-sender view used for windowed
-        # retrieval.  Rebuilt on clean; kept parallel to _sender_seqs.
+        # The only record store: each sender's records in seq order.  Blocks
+        # never decrease, so neither do a sender's epochs, and each bucket is
+        # one contiguous run of its sender's list, found by bisecting on epoch.
         self._by_sender: dict[Address, list[tuple[SpendRef, SpendRecord]]] = {}
-        self._sender_seqs: dict[Address, list[int]] = {}
         self._next_seq = 0
         self._last_block = 0
 
@@ -103,18 +102,24 @@ class SpendLog:
         epoch = self.config.epoch_of(block)
         rec = SpendRecord(sender, to, amount, amount, block, self._next_seq)
         self._next_seq += 1
-        bucket = self._buckets.setdefault((epoch, sender), [])
-        bucket.append(rec)
-        ref = SpendRef(epoch, sender, len(bucket) - 1)
-        self._by_sender.setdefault(sender, []).append((ref, rec))
-        self._sender_seqs.setdefault(sender, []).append(rec.seq)
+        pairs = self._by_sender.setdefault(sender, [])
+        index = pairs[-1][0].index + 1 if pairs and pairs[-1][0].epoch == epoch else 0
+        ref = SpendRef(epoch, sender, index)
+        pairs.append((ref, rec))
         return ref
 
+    def _bucket(self, epoch: int, sender: Address) -> tuple[list, int, int]:
+        """The sender's list and the bounds [lo, hi) of the bucket's run in it."""
+        pairs = self._by_sender.get(sender, [])
+        lo = bisect.bisect_left(pairs, epoch, key=lambda pair: pair[0].epoch)
+        hi = bisect.bisect_right(pairs, epoch, lo, key=lambda pair: pair[0].epoch)
+        return pairs, lo, hi
+
     def resolve(self, ref: SpendRef) -> SpendRecord:
-        bucket = self._buckets.get((ref.epoch, ref.sender))
-        if bucket is None or not 0 <= ref.index < len(bucket):
+        pairs, lo, hi = self._bucket(ref.epoch, ref.sender)
+        if not 0 <= ref.index < hi - lo:
             raise UnknownSpenditureError(f"no record at {ref}")
-        return bucket[ref.index]
+        return pairs[lo + ref.index][1]
 
     def outgoing_between(
         self, sender: Address, after_seq: int, before_seq: int
@@ -123,12 +128,12 @@ class SpendLog:
 
         Cost is proportional to the size of the result (plus a bisect).
         """
-        seqs = self._sender_seqs.get(sender)
-        if not seqs:
+        pairs = self._by_sender.get(sender)
+        if not pairs:
             return []
-        lo = bisect.bisect_right(seqs, after_seq)
-        hi = bisect.bisect_left(seqs, before_seq, lo)
-        window = self._by_sender[sender][lo:hi]
+        lo = bisect.bisect_right(pairs, after_seq, key=lambda pair: pair[1].seq)
+        hi = bisect.bisect_left(pairs, before_seq, lo, key=lambda pair: pair[1].seq)
+        window = pairs[lo:hi]
         window.reverse()
         return window
 
@@ -139,10 +144,10 @@ class SpendLog:
         dispute window.  Blocks are non-decreasing within a bucket, so the
         newest record decides.
         """
-        bucket = self._buckets.get((epoch, sender))
-        if not bucket:
+        pairs, lo, hi = self._bucket(epoch, sender)
+        if lo == hi:
             return "empty"
-        if current_block - bucket[-1].block <= self.config.dispute_window:
+        if current_block - pairs[hi - 1][1].block <= self.config.dispute_window:
             return "window-open"
         return "ready"
 
@@ -151,10 +156,9 @@ class SpendLog:
 
         Refs into the bucket dangle from this point on.
         """
-        records = self._buckets.pop((epoch, sender))
-        kept = [(ref, rec) for ref, rec in self._by_sender[sender] if ref.epoch != epoch]
-        self._by_sender[sender] = kept
-        self._sender_seqs[sender] = [rec.seq for _, rec in kept]
+        pairs, lo, hi = self._bucket(epoch, sender)
+        records = [rec for _, rec in pairs[lo:hi]]
+        del pairs[lo:hi]
         return records
 
     def all_records(self) -> list[tuple[SpendRef, SpendRecord]]:

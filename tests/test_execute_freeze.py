@@ -66,8 +66,8 @@ def test_freeze_applies_plan_and_debits():
     assert led.log.resolve(ref).amount == 50
     claim = eng.claims[cid]
     assert claim.status is ClaimStatus.FROZEN
-    assert {r.address: r.amount for r in claim.freeze_rows()} == {"a0": 30, "a1": 20}
-    assert [(r.ref, r.amount) for r in claim.debit_rows()] == [(hop, 20)]
+    assert {a: n for a, n in claim.plan.to_freeze.items() if n} == {"a0": 30, "a1": 20}
+    assert [(r.ref, r.obligation) for r in claim.plan.per_edge if r.obligation] == [(hop, 20)]
 
 
 def test_redispute_while_pending_freezes_nothing():
@@ -78,7 +78,8 @@ def test_redispute_while_pending_freezes_nothing():
     eng.execute_freeze(ref, "v", 1, caller=GOV)
     cid2 = eng.execute_freeze(ref, "v", 1, caller=GOV)
     assert eng.claims[cid2].plan.total_frozen == 0
-    assert eng.claims[cid2].entries == []
+    plan2 = eng.claims[cid2].plan
+    assert not any(plan2.to_freeze.values()) and not any(r.obligation for r in plan2.per_edge)
     assert led.account("a0").frozen == 50  # unchanged
 
 
