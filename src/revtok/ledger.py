@@ -196,8 +196,8 @@ class TokenLedger:
         min(remaining record amount, reversible - frozen) from reversible to
         non-reversible, so cleaning never touches an account's total and never
         digs into the frozen floor.  Buckets containing any record still
-        inside the dispute window are skipped and reported, which also makes
-        clean idempotent per bucket.
+        inside the dispute window, and buckets of the current epoch, are
+        skipped and reported, which also makes clean idempotent per bucket.
         """
         self._touch_block(block)
         report = CleanReport()

@@ -138,17 +138,21 @@ class SpendLog:
         return window
 
     def bucket_status(self, epoch: int, sender: Address, current_block: int) -> str:
-        """Cleanability of a bucket: 'empty', 'window-open', or 'ready'.
+        """Cleanability of a bucket: 'empty', 'window-open', 'epoch-open' or 'ready'.
 
         A bucket is ready only once every record in it has outlived the
         dispute window.  Blocks are non-decreasing within a bucket, so the
-        newest record decides.
+        newest record decides.  A bucket of the current epoch is never ready
+        either, even with a window shorter than an epoch: its sender's next
+        record would take the index, and so the ref, of a deleted one.
         """
         pairs, lo, hi = self._bucket(epoch, sender)
         if lo == hi:
             return "empty"
         if current_block - pairs[hi - 1][1].block <= self.config.dispute_window:
             return "window-open"
+        if self.config.epoch_of(current_block) <= epoch:
+            return "epoch-open"
         return "ready"
 
     def pop_bucket(self, epoch: int, sender: Address) -> list[SpendRecord]:
@@ -173,7 +177,7 @@ class BucketCleanResult:
     epoch: int
     sender: Address
     status: str  # "cleaned" or "skipped"
-    reason: str = ""  # skip reason: "empty" or "window-open"
+    reason: str = ""  # skip reason: "empty", "window-open" or "epoch-open"
     deleted: int = 0
     moved: dict[Address, int] = field(default_factory=dict)
 

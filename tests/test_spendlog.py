@@ -74,6 +74,12 @@ def test_bucket_status_follows_newest_record():
     # newest record at block 9: ready only when current - 9 > 50
     assert log.bucket_status(0, "a", current_block=59) == "window-open"
     assert log.bucket_status(0, "a", current_block=60) == "ready"
+    # with a window shorter than an epoch, the window has passed at block 60
+    # but epoch 0 lasts until block 99
+    log = SpendLog(EpochConfig(epoch_length=100, dispute_window=50))
+    log.record("a", "b", 1, block=9)
+    assert log.bucket_status(0, "a", current_block=60) == "epoch-open"
+    assert log.bucket_status(0, "a", current_block=100) == "ready"
 
 
 def test_pop_bucket_removes_records_and_dangles_refs():
