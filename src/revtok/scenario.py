@@ -224,6 +224,23 @@ _POLICY_KEYS = {
 _CONFIG_KEYS = {"delta", "window", *_POLICY_KEYS}
 
 
+def _parse_config(cfg: dict[str, str]) -> tuple[EpochConfig, FeePolicy]:
+    """The engine settings a config describes; ValueError if a value is
+    malformed or out of range."""
+    epoch_config = EpochConfig(
+        epoch_length=int(cfg.get("delta", 1000)),
+        dispute_window=int(cfg.get("window", 24000)),
+    )
+    policy_kwargs: dict[str, Any] = {
+        name: parse(cfg[key]) for key, (name, parse) in _POLICY_KEYS.items() if key in cfg
+    }
+    n = policy_kwargs.get("quorum_size", FeePolicy.quorum_size)
+    fee = policy_kwargs.get("judge_fee", FeePolicy.judge_fee)
+    # Unless configured, the stake covers two rounds of judge fees.
+    policy_kwargs.setdefault("min_stake", 2 * n * fee)
+    return epoch_config, FeePolicy(**policy_kwargs)
+
+
 class ScenarioRunner:
     """Executes parsed operations against one freshly wired engine."""
 
@@ -244,19 +261,7 @@ class ScenarioRunner:
     def _build(self) -> None:
         if self._built:
             return
-        cfg = self._config
-        epoch_config = EpochConfig(
-            epoch_length=int(cfg.get("delta", 1000)),
-            dispute_window=int(cfg.get("window", 24000)),
-        )
-        policy_kwargs: dict[str, Any] = {
-            name: parse(cfg[key]) for key, (name, parse) in _POLICY_KEYS.items() if key in cfg
-        }
-        n = policy_kwargs.get("quorum_size", FeePolicy.quorum_size)
-        fee = policy_kwargs.get("judge_fee", FeePolicy.judge_fee)
-        # Unless configured, the stake covers two rounds of judge fees.
-        policy_kwargs.setdefault("min_stake", 2 * n * fee)
-
+        epoch_config, policy = _parse_config(self._config)
         self.ledger = TokenLedger(epoch_config)
         self.freeze = FreezeEngine(self.ledger, governance="governance")
         self.nft = NftRegistry("governance", epoch_config.dispute_window)
@@ -265,7 +270,7 @@ class ScenarioRunner:
             self.freeze,
             self.nft,
             JudgePool(),
-            FeePolicy(**policy_kwargs),
+            policy,
             identity="governance",
         )
         self._built = True
@@ -297,7 +302,16 @@ class ScenarioRunner:
                      "message": f"unknown config keys: {sorted(unknown)}"}
                 )
                 return
-            self._config.update(op.params)
+            config = {**self._config, **op.params}
+            try:
+                _parse_config(config)
+            except ValueError as err:
+                self.failed_ops.append(
+                    {"line": op.line, "op": op.name, "error": "ConfigValueError",
+                     "message": str(err)}
+                )
+                return
+            self._config = config
             return
         self._build()
         if op.name == "expect":

@@ -138,6 +138,15 @@ def test_unknown_config_key_fails():
     assert json.loads(res.to_json())["failedOps"][0]["error"] == "ConfigKeyError"
 
 
+@pytest.mark.parametrize("setting", ["n=x", "minorityRatio=abc", "minStake=5", "delta=0"])
+def test_malformed_config_value_fails(setting):
+    # the failed line is not applied: the engine still builds with defaults
+    res = run_scenario_text(f"config {setting}\nmint to=a amount=1\n", "cfg")
+    assert res.exit_code == 1
+    report = json.loads(res.to_json())
+    assert [(f["line"], f["error"]) for f in report["failedOps"]] == [(1, "ConfigValueError")]
+
+
 def test_reports_are_byte_deterministic():
     a = run_scenario_text(BASIC, "basic").to_json()
     b = run_scenario_text(BASIC, "basic").to_json()
