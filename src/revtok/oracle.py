@@ -342,6 +342,7 @@ def run_and_check(spec: TrialSpec) -> list[str]:
     claim_id = engine.execute_freeze(ref, record.sender, ledger.current_block, GOVERNANCE)
     plan = engine.claims[claim_id].plan
     graph_edges = engine.claims[claim_id].graph_edges
+    trace = _trace_raw(spec)
     violations: list[str] = []
 
     def bad(kind: str, detail: str) -> None:
@@ -355,7 +356,7 @@ def run_and_check(spec: TrialSpec) -> list[str]:
     if not spec.burns and plan.total_frozen != demand:
         bad("freezeSum", f"froze {plan.total_frozen} of {demand}")
     violations.extend(
-        f"{v} | ops: {_fmt_ops(spec)}" for v in _check_obligation_bound(spec, plan, demand)
+        f"{v} | ops: {_fmt_ops(spec)}" for v in _check_obligation_bound(trace, plan, demand)
     )
 
     # Work is linear in the processed graph.
@@ -365,7 +366,7 @@ def run_and_check(spec: TrialSpec) -> list[str]:
         bad("linearity", f"touched {plan.edges_touched} of {len(graph_edges)} edges")
 
     # Burn absorption can never exceed what was actually burned post-arrival.
-    expected_burn = _trace_raw(spec)[4]
+    expected_burn = trace[4]
     for addr, absorbed in plan.absorbed_by_burn.items():
         if absorbed > expected_burn.get(addr, 0):
             bad("burn", f"{addr} absorbed {absorbed} > burned {expected_burn.get(addr, 0)}")
@@ -391,8 +392,8 @@ def run_and_check(spec: TrialSpec) -> list[str]:
     return violations
 
 
-def _check_obligation_bound(spec: TrialSpec, plan, demand: int) -> list[str]:
-    """Audit the per-edge instrumentation rows against the raw op list.
+def _check_obligation_bound(trace, plan, demand: int) -> list[str]:
+    """Audit the per-edge rows against the raw op list, as `_trace_raw` replays it.
 
     All obligation into a node is assigned while its senders are processed,
     strictly before the node hands anything on, so the obligation reaching a
@@ -404,7 +405,7 @@ def _check_obligation_bound(spec: TrialSpec, plan, demand: int) -> list[str]:
     raw transfer moved.  Finally each node's books must balance exactly:
     frozen + absorbed-by-burn + stranded + passed-on == reached.
     """
-    records, t0, arrival, _edges, _burned = _trace_raw(spec)
+    records, t0, arrival, _edges, _burned = trace
     root = records[t0][1]
     violations: list[str] = []
 

@@ -115,7 +115,7 @@ def test_oracle_catches_an_inflated_edge_obligation():
     # responsibility along an edge must be flagged by the obligationBound checks.
     # The tampering happens after execution because the engine itself refuses
     # to apply an over-debit, so the lie can only exist in the reported plan.
-    from revtok.oracle import GOVERNANCE, _check_obligation_bound, _replay_on_engine
+    from revtok.oracle import GOVERNANCE, _check_obligation_bound, _replay_on_engine, _trace_raw
 
     rng = random.Random(5)
     tripped = 0
@@ -128,9 +128,10 @@ def test_oracle_catches_an_inflated_edge_obligation():
         plan = engine.claims[claim_id].plan
         if not plan.per_edge:
             continue
-        assert not _check_obligation_bound(spec, plan, demand)
+        trace = _trace_raw(spec)
+        assert not _check_obligation_bound(trace, plan, demand)
         plan.per_edge[0].obligation += demand
-        violations = _check_obligation_bound(spec, plan, demand)
+        violations = _check_obligation_bound(trace, plan, demand)
         assert any("obligationBound" in v for v in violations)
         tripped += 1
     assert tripped > 10
