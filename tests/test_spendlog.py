@@ -177,17 +177,57 @@ def test_clean_report_shape():
 
 def test_random_log_roundtrip():
     rng = random.Random(7)
-    log = SpendLog(EpochConfig(epoch_length=50, dispute_window=100))
+    # a window shorter than an epoch lets every bucket status occur
+    log = SpendLog(EpochConfig(epoch_length=50, dispute_window=30))
+    window = log.config.dispute_window
     mirror = []
     block = 0
     for _ in range(500):
-        block += rng.randrange(3)
+        block += rng.choice((0, 0, 1, 2, 30))
         sender = rng.choice("abc")
         ref = log.record(sender, rng.choice("abc"), rng.randrange(1, 9), block)
         mirror.append((ref, log.resolve(ref)))
     for ref, rec in mirror:
         assert log.resolve(ref) is rec
     assert [rec.seq for _, rec in log.all_records()] == list(range(500))
+
+    # Pop every bucket in random order, so most pops cut from the middle of
+    # a sender's list, and check each query against the plain-list mirror.
+    buckets = sorted({(ref.epoch, ref.sender) for ref, _ in mirror})
+    rng.shuffle(buckets)
+    dangling = set()
+    for epoch, sender in buckets:
+        in_bucket = [(ref, rec) for ref, rec in mirror if (ref.epoch, ref.sender) == (epoch, sender)]
+        popped = log.pop_bucket(epoch, sender)
+        assert len(popped) == len(in_bucket)
+        assert all(got is rec for got, (_, rec) in zip(popped, in_bucket))
+        gone = {ref for ref, _ in in_bucket}
+        dangling |= gone
+        mirror = [pair for pair in mirror if pair[0] not in gone]
+        for ref, rec in mirror:
+            assert log.resolve(ref) is rec
+        for ref in dangling:
+            with pytest.raises(UnknownSpenditureError):
+                log.resolve(ref)
+        for who in "abc":
+            after, before = sorted(rng.randrange(-1, 502) for _ in range(2))
+            want = [pair for pair in reversed(mirror)
+                    if pair[0].sender == who and after < pair[1].seq < before]
+            assert log.outgoing_between(who, after, before) == want
+        newest = {(ref.epoch, ref.sender): rec.block for ref, rec in mirror}
+        now = rng.randrange(block + 100)
+        for key in buckets:
+            if key not in newest:
+                status = "empty"
+            elif now - newest[key] <= window:
+                status = "window-open"
+            elif log.config.epoch_of(now) <= key[0]:
+                status = "epoch-open"
+            else:
+                status = "ready"
+            assert log.bucket_status(*key, now) == status
+        assert log.all_records() == mirror
+    assert mirror == []
 
 
 def target_for(ref):
