@@ -287,31 +287,29 @@ class ScenarioRunner:
             return 1
         return 0
 
+    def _configure(self, params: dict[str, str]) -> tuple[str, str] | None:
+        """Apply one config line, or return the (error, message) rejecting it."""
+        if self._built:
+            return "ConfigAfterStart", "config lines must precede engine operations"
+        unknown = set(params) - _CONFIG_KEYS
+        if unknown:
+            return "ConfigKeyError", f"unknown config keys: {sorted(unknown)}"
+        config = {**self._config, **params}
+        try:
+            _parse_config(config)
+        except ValueError as err:
+            return "ConfigValueError", str(err)
+        self._config = config
+        return None
+
     def _run_op(self, op: ScenarioOp) -> None:
         if op.name == "config":
-            if self._built:
+            rejected = self._configure(op.params)
+            if rejected:
+                error, message = rejected
                 self.failed_ops.append(
-                    {"line": op.line, "op": op.name, "error": "ConfigAfterStart",
-                     "message": "config lines must precede engine operations"}
+                    {"line": op.line, "op": op.name, "error": error, "message": message}
                 )
-                return
-            unknown = set(op.params) - _CONFIG_KEYS
-            if unknown:
-                self.failed_ops.append(
-                    {"line": op.line, "op": op.name, "error": "ConfigKeyError",
-                     "message": f"unknown config keys: {sorted(unknown)}"}
-                )
-                return
-            config = {**self._config, **op.params}
-            try:
-                _parse_config(config)
-            except ValueError as err:
-                self.failed_ops.append(
-                    {"line": op.line, "op": op.name, "error": "ConfigValueError",
-                     "message": str(err)}
-                )
-                return
-            self._config = config
             return
         self._build()
         if op.name == "expect":
