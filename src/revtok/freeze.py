@@ -111,10 +111,19 @@ def build_graph(log: SpendLog, disputed: SpendRef, freeze_seq: int) -> TransferG
     return graph
 
 
-def _find_cycle(graph: TransferGraph) -> list[GraphEdge] | None:
-    """One directed cycle as an edge list, or None if the graph is acyclic.
+def eliminate_cycles(graph: TransferGraph) -> TransferGraph:
+    """Cancel cycles in place until the graph is a DAG.
 
-    Iterative DFS over the multigraph; a self-edge is a one-edge cycle.
+    Each round removes the minimum-value edge of some cycle (ties broken by
+    lowest seq) and discounts every other edge on that cycle by that value.
+    Discounted edges stay even at value zero; only the minimum edge is
+    deleted, so there are at most |edges| rounds.
+
+    One iterative DFS finds every cycle; a self-edge is a one-edge cycle.
+    After a round it resumes at the removed edge's source, whose live
+    iterator has already read past that edge, with the nodes popped above it
+    WHITE again.  BLACK nodes stay BLACK: all they reach is BLACK and
+    acyclic, and deleting an edge creates no cycle.
     """
     adj = graph.out
     WHITE, GRAY, BLACK = 0, 1, 2
@@ -131,40 +140,22 @@ def _find_cycle(graph: TransferGraph) -> list[GraphEdge] | None:
             if edge is None:
                 color[node] = BLACK
                 stack.pop()
-                continue
-            if color[edge.dst] == GRAY:
-                cycle = [edge]
-                cur = node
-                while cur != edge.dst:
-                    back = entered_via[cur]
-                    cycle.append(back)
-                    cur = back.src
-                cycle.reverse()
-                return cycle
-            if color[edge.dst] == WHITE:
+            elif color[edge.dst] == WHITE:
                 color[edge.dst] = GRAY
                 entered_via[edge.dst] = edge
                 stack.append((edge.dst, iter(adj[edge.dst])))
-    return None
-
-
-def eliminate_cycles(graph: TransferGraph) -> TransferGraph:
-    """Cancel cycles in place until the graph is a DAG.
-
-    Each round removes the minimum-value edge of some cycle (ties broken by
-    lowest seq) and discounts every other edge on that cycle by that value.
-    Discounted edges stay even at value zero; only the minimum edge is
-    deleted, so the loop terminates after at most |edges| rounds.
-    """
-    while True:
-        cycle = _find_cycle(graph)
-        if cycle is None:
-            return graph
-        weakest = min(cycle, key=lambda e: (e.value, e.seq))
-        for edge in cycle:
-            if edge is not weakest:
-                edge.value -= weakest.value
-        graph.out[weakest.src].remove(weakest)
+            elif color[edge.dst] == GRAY:
+                cycle = [edge]
+                while cycle[-1].src != edge.dst:
+                    cycle.append(entered_via[cycle[-1].src])
+                weakest = min(cycle, key=lambda e: (e.value, e.seq))
+                for e in cycle:
+                    if e is not weakest:
+                        e.value -= weakest.value
+                adj[weakest.src] = [e for e in adj[weakest.src] if e is not weakest]
+                while stack[-1][0] != weakest.src:
+                    color[stack.pop()[0]] = WHITE
+    return graph
 
 
 @dataclass

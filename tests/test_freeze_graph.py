@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterator
 
 import pytest
 
@@ -13,6 +14,8 @@ from revtok import (
     build_graph,
     eliminate_cycles,
 )
+
+from revtok.oracle import _replay_on_engine, generate_trial
 
 from conftest import make_ledger
 
@@ -208,3 +211,121 @@ def test_elimination_never_leaves_a_simple_cycle():
         ]
         out = eliminate_cycles(manual_graph(nodes[0], list(edges)))
         assert all_simple_cycles(out.edges) == [], trial
+
+
+# -- the restart-per-round algorithm, kept as a reference ----------------------
+
+
+def _find_cycle(graph: TransferGraph) -> list[GraphEdge] | None:
+    """One directed cycle as an edge list, or None if the graph is acyclic.
+
+    Iterative DFS over the multigraph; a self-edge is a one-edge cycle.
+    """
+    adj = graph.out
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = dict.fromkeys(adj, WHITE)
+    entered_via: dict[str, GraphEdge] = {}
+    for start in adj:
+        if color[start] != WHITE:
+            continue
+        color[start] = GRAY
+        stack: list[tuple[str, Iterator[GraphEdge]]] = [(start, iter(adj[start]))]
+        while stack:
+            node, edges = stack[-1]
+            edge = next(edges, None)
+            if edge is None:
+                color[node] = BLACK
+                stack.pop()
+                continue
+            if color[edge.dst] == GRAY:
+                cycle = [edge]
+                cur = node
+                while cur != edge.dst:
+                    back = entered_via[cur]
+                    cycle.append(back)
+                    cur = back.src
+                cycle.reverse()
+                return cycle
+            if color[edge.dst] == WHITE:
+                color[edge.dst] = GRAY
+                entered_via[edge.dst] = edge
+                stack.append((edge.dst, iter(adj[edge.dst])))
+    return None
+
+
+def restart_eliminate_cycles(graph: TransferGraph) -> TransferGraph:
+    """Cancel cycles with a fresh DFS from the first node for every round."""
+    while True:
+        cycle = _find_cycle(graph)
+        if cycle is None:
+            return graph
+        weakest = min(cycle, key=lambda e: (e.value, e.seq))
+        for edge in cycle:
+            if edge is not weakest:
+                edge.value -= weakest.value
+        graph.out[weakest.src].remove(weakest)
+
+
+def per_source(graph):
+    return [
+        (node, [(e.src, e.dst, e.value, e.seq) for e in edges])
+        for node, edges in graph.out.items()
+    ]
+
+
+def assert_matches_reference(build):
+    """`build()` must make a fresh graph on each call."""
+    graph = build()
+    before = len(graph.edges)
+    got = per_source(eliminate_cycles(graph))
+    assert got == per_source(restart_eliminate_cycles(build()))
+    return before - len(graph.edges)
+
+
+def test_matches_restart_reference_on_random_multigraphs():
+    rng = random.Random(5)
+    rounds = 0
+    for trial in range(2500):
+        nodes = [f"n{i}" for i in range(rng.randrange(1, 9))]
+        # self-loops, parallel edges and zero values all occur
+        specs = [
+            (rng.choice(nodes), rng.choice(nodes), rng.randrange(0, 6), seq)
+            for seq in rng.sample(range(100), rng.randrange(0, 25))
+        ]
+        rounds += assert_matches_reference(
+            lambda: manual_graph(nodes[0], [edge(*s) for s in specs])
+        )
+    assert rounds > 5000
+
+
+def test_matches_restart_reference_on_oracle_trials():
+    master = random.Random(17)
+    rounds = 0
+    for _ in range(1000):
+        spec = generate_trial(random.Random(master.getrandbits(64)), "generic", False)
+
+        def build():
+            ledger, _, ref = _replay_on_engine(spec)
+            return build_graph(ledger.log, ref, ledger.log.next_seq)
+
+        rounds += assert_matches_reference(build)
+    assert rounds > 500
+
+
+def test_matches_restart_reference_on_a_ledger_economy():
+    """500 addresses, 10k transfers, 30% of them to a lower-index address."""
+
+    def build():
+        rng = random.Random(11)
+        ledger = make_ledger()
+        names = [f"a{i:03d}" for i in range(500)]
+        for name in names:
+            ledger.mint(name, 10**6, block=1)
+        disputed = ledger.transfer("a000", "a001", 500, block=1)
+        for t in range(10_000):
+            i = rng.randrange(len(names) - 1)
+            j = rng.randrange(i) if i and rng.random() < 0.3 else rng.randrange(i + 1, len(names))
+            ledger.transfer(names[i], names[j], rng.randint(1, 100), block=2 + t // 10)
+        return build_graph(ledger.log, disputed, ledger.log.next_seq)
+
+    assert assert_matches_reference(build) > 1000
