@@ -261,8 +261,9 @@ class Governance:
         beacon_seed: bytes = b"\x00",
     ) -> int:
         """Open a case.  The claimant must be the sender of the disputed
-        record (or the pre-transfer owner of the disputed NFT), and stake+tip
-        is escrowed from their non-reversible balance up front."""
+        record (or the pre-transfer owner of the disputed NFT), the disputed
+        transfer must still be inside its dispute window, and stake+tip is
+        escrowed from their non-reversible balance up front."""
         if isinstance(target, FungibleTarget):
             record = self.ledger.log.resolve(target.ref)
             if record.to is None:
@@ -273,6 +274,7 @@ class Governance:
                 )
             defendant = record.to
             disputed_amount = record.amount
+            sent_at, window = record.block, self.ledger.config.dispute_window
         else:
             token = self.nft.tokens.get(target.token_id)
             if token is None:
@@ -285,8 +287,15 @@ class Governance:
                 raise NotAffectedPartyError(
                     f"{claimant} did not own token {target.token_id} before the transfer"
                 )
-            defendant = token.owners[target.index + 1].owner
+            hop = token.owners[target.index + 1]
+            defendant = hop.owner
             disputed_amount = 0
+            sent_at, window = hop.block, self.nft.dispute_window
+        if self.ledger.current_block - sent_at > window:
+            raise WindowElapsedError(
+                f"transfer from block {sent_at} is outside the window at "
+                f"{self.ledger.current_block}"
+            )
         if stake < self.policy.min_stake:
             raise InsufficientStakeError(
                 f"stake {stake} is below the minimum {self.policy.min_stake}"

@@ -21,6 +21,7 @@ from revtok import (
     UnknownCaseError,
     UnknownTokenError,
     Vote,
+    WindowElapsedError,
     commitment_hash,
     select_quorum,
 )
@@ -147,6 +148,12 @@ def test_submit_guards():
         gov.submit_freeze_request("b", FungibleTarget(burn_ref), 2)
     with pytest.raises(UnknownCaseError):
         gov.tally(99)
+    led.advance_block(1 + led.config.dispute_window + 1)
+    with pytest.raises(WindowElapsedError):
+        gov.submit_freeze_request("v", FungibleTarget(ref), 2, tip=1)
+    assert led.account("v").nonreversible == 50
+    assert led.account(gov.escrow).nonreversible == 0
+    assert gov.cases == {}
 
 
 def test_submit_nft_guards():
@@ -162,6 +169,11 @@ def test_submit_nft_guards():
         gov.submit_freeze_request("b", NftTarget(1, 0), 2)
     cid = gov.submit_freeze_request("a", NftTarget(1, 0), 2)
     assert gov.cases[cid].defendant == "b"
+    led.advance_block(2 + nft.dispute_window + 1)
+    with pytest.raises(WindowElapsedError):
+        gov.submit_freeze_request("a", NftTarget(1, 0), 2)
+    assert led.account("a").nonreversible == 8
+    assert list(gov.cases) == [cid]
 
 
 def test_submit_needs_a_big_enough_pool():
