@@ -305,14 +305,6 @@ class FreezeEngine:
             raise UnknownClaimError(claim_id)
         return claim
 
-    def plan_freeze(self, disputed: SpendRef) -> tuple[TransferGraph, FreezePlan]:
-        """Trace and plan without mutating anything (also the bench path)."""
-        record = self.ledger.log.resolve(disputed)
-        graph = eliminate_cycles(
-            build_graph(self.ledger.log, disputed, self.ledger.log.next_seq)
-        )
-        return graph, calc_freeze(graph, record.amount, self.ledger.available_rbalance)
-
     def execute_freeze(
         self, disputed: SpendRef, victim: Address, current_block: int, caller: Address
     ) -> str:
@@ -334,7 +326,10 @@ class FreezeEngine:
             raise WindowElapsedError(
                 f"record from block {record.block} is outside the window at {current_block}"
             )
-        graph, plan = self.plan_freeze(disputed)
+        graph = eliminate_cycles(
+            build_graph(self.ledger.log, disputed, self.ledger.log.next_seq)
+        )
+        plan = calc_freeze(graph, record.amount, self.ledger.available_rbalance)
         claim_id = hashlib.sha256(
             b"claim|%d|%d|%s|%d|%d"
             % (len(self.claim_order), disputed.epoch, disputed.sender.encode(),
