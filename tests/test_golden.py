@@ -2,7 +2,8 @@
 
 Every scenario under `scenarios/` must replay to exactly the JSON committed in
 `tests/golden/<name>.json`, and `revtok oracle --trials 10000 --seed 41` must
-print exactly `tests/golden/oracle_10000_41.json`.  The oracle report carries
+print exactly `tests/golden/oracle_10000_41.json`; no other golden file may
+exist, so a renamed or deleted scenario leaves none behind.  The oracle report carries
 only counts, so the same 10000 trials are also hashed, freeze output and all,
 against a committed digest.
 
@@ -31,6 +32,11 @@ ORACLE_ARGS = ["--trials", "10000", "--seed", "41"]
 ORACLE_GOLDEN = GOLDEN / "oracle_10000_41.json"
 # SHA-256 over the freeze output of each of the 10000 trials above.
 TRIAL_DIGEST = "3823fdf00ee1b380ceb2250fa7aaa0dd91b42413f7012777f477dd9eb71d7f5a"
+
+
+def test_every_golden_report_has_its_scenario():
+    stems = {p.stem for p in GOLDEN.glob("*.json")} - {ORACLE_GOLDEN.stem}
+    assert stems == {p.stem for p in SCENARIOS}
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
