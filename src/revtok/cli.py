@@ -2,11 +2,11 @@
 
     revtok replay SCENARIO [--out FILE]
     revtok oracle --trials N --seed S [--burns {none,mixed}] [--out FILE]
-    revtok bench --nodes V --edges E [--seed S]
 
-Exit codes: 0 success, 1 a check or trial failed, 2 usage or parse error.
-Replay and oracle reports are byte-identical for identical inputs; timing is
-never part of a replay or oracle report.
+Exit codes: 0 success, 1 a check or trial failed, 2 usage or parse error (a
+scenario line with an unknown key, a malformed integer or an `expect` that
+compares nothing is a parse error).  Reports are byte-identical for identical
+inputs and carry no timing.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bench import bench_report_json, run_bench
 from .errors import ParseError
 from .oracle import oracle_check, oracle_report_json
 from .scenario import ScenarioRunner, parse_scenario
@@ -45,11 +44,6 @@ def main(argv: list[str] | None = None) -> int:
     oracle.add_argument("--burns", choices=["none", "mixed"], default="mixed")
     oracle.add_argument("--out", help="write the JSON report here instead of stdout")
 
-    bench = sub.add_parser("bench", help="freeze-pass scaling measurement")
-    bench.add_argument("--nodes", type=int, default=10_000)
-    bench.add_argument("--edges", type=int, default=100_000)
-    bench.add_argument("--seed", type=int, default=0)
-
     args = parser.parse_args(argv)
 
     if args.command == "replay":
@@ -66,17 +60,12 @@ def main(argv: list[str] | None = None) -> int:
         _emit(result.to_json(), args.out)
         return result.exit_code
 
-    if args.command == "oracle":
-        if args.trials <= 0:
-            print("revtok: --trials must be positive", file=sys.stderr)
-            return 2
-        report = oracle_check(args.trials, args.seed, args.burns)
-        _emit(oracle_report_json(report), args.out)
-        return 0 if report["pass"] else 1
-
-    report = run_bench(args.nodes, args.edges, args.seed)
-    sys.stdout.write(bench_report_json(report))
-    return 0 if report["withinBound"] else 1
+    if args.trials <= 0:
+        print("revtok: --trials must be positive", file=sys.stderr)
+        return 2
+    report = oracle_check(args.trials, args.seed, args.burns)
+    _emit(oracle_report_json(report), args.out)
+    return 0 if report["pass"] else 1
 
 
 if __name__ == "__main__":

@@ -156,7 +156,7 @@ class FungibleTarget:
 @dataclass(frozen=True)
 class NftTarget:
     token_id: int
-    index: int
+    index: int  # absolute record index: cleaning the token's history never shifts it
 
 
 @dataclass
@@ -279,15 +279,15 @@ class Governance:
             token = self.nft.tokens.get(target.token_id)
             if token is None:
                 raise UnknownTokenError(f"token {target.token_id}")
-            if not 0 <= target.index < len(token.owners) - 1:
+            prior, hop = token.record(target.index), token.record(target.index + 1)
+            if prior is None or hop is None:
                 raise InvalidDisputeError(
                     f"token {target.token_id} has no transfer at index {target.index}"
                 )
-            if claimant != token.owners[target.index].owner:
+            if claimant != prior.owner:
                 raise NotAffectedPartyError(
                     f"{claimant} did not own token {target.token_id} before the transfer"
                 )
-            hop = token.owners[target.index + 1]
             defendant = hop.owner
             disputed_amount = 0
             sent_at, window = hop.block, self.nft.dispute_window
@@ -414,8 +414,9 @@ class Governance:
     def _try_freeze(self, case: Case, block: int) -> bool:
         """Run the approved freeze; a freeze the engine can no longer perform
         (the window elapsed while the vote ran, the disputed record's bucket
-        was cleaned since submission, the NFT is already frozen) dismisses the
-        case rather than crashing the tally."""
+        was cleaned since submission, the NFT is already frozen or its
+        disputed hop was cleaned away) dismisses the case rather than crashing
+        the tally."""
         if isinstance(case.target, FungibleTarget):
             try:
                 case.claim_id = self.freeze_engine.execute_freeze(

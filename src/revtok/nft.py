@@ -1,15 +1,15 @@
 """Reversible non-fungible tokens.
 
 Each token keeps an append-only queue of (owner, block) records; the last
-entry is the current owner.  Disputing the transfer that made owners[i+1] the
-owner means freezing at index i: the token stops moving, and a reversal
-appends the index-i owner back on top of the queue instead of rewriting
-history.
+entry is the current owner.  Record indexes are absolute: the i-th record ever
+appended keeps index i.  Disputing the transfer that made record i+1 the owner
+means freezing at index i: the token stops moving, and a reversal appends the
+index-i owner back on top of the queue instead of rewriting history.
 
 Cleaning drops queue prefixes that can no longer be disputed, keeping every
 record whose successor is still inside the dispute window plus the current
 owner, so any freeze that was admissible before a clean is admissible after
-it (at a shifted index).
+it, at the same index.
 """
 
 from __future__ import annotations
@@ -40,10 +40,17 @@ class NftToken:
     token_id: int
     owners: list[OwnerRecord] = field(default_factory=list)
     frozen: bool = False
+    dropped: int = 0  # records cleaned away; owners[0] has index `dropped`
 
     @property
     def current_owner(self) -> Address:
         return self.owners[-1].owner
+
+    def record(self, index: int) -> OwnerRecord | None:
+        """The record at absolute `index`, or None if it was cleaned away or
+        not yet appended."""
+        position = index - self.dropped
+        return self.owners[position] if 0 <= position < len(self.owners) else None
 
 
 @dataclass
@@ -101,37 +108,38 @@ class NftRegistry:
         """Indexes i whose i -> i+1 transfer is still inside the window."""
         token = self._token(token_id)
         return [
-            i
+            token.dropped + i
             for i in range(len(token.owners) - 1)
             if current_block - token.owners[i + 1].block <= self.dispute_window
         ]
 
     def freeze(self, token_id: int, index: int, current_block: int, caller: Address) -> bool:
-        """Freeze the token over the transfer that made owners[index+1] the
+        """Freeze the token over the transfer that made record index+1 the
         owner.  Returns False (rather than raising) when the window has
-        elapsed, the index does not name a transfer, or the token is already
-        frozen, so governance can treat a hopeless vote as a dismissal."""
+        elapsed, the index does not name a kept transfer (it was never made
+        or was cleaned away), or the token is already frozen, so governance
+        can treat a hopeless vote as a dismissal."""
         self._require_governance(caller)
         token = self._token(token_id)
-        if token.frozen:
+        hop = token.record(index + 1)
+        if token.frozen or token.record(index) is None or hop is None:
             return False
-        if not 0 <= index < len(token.owners) - 1:
-            return False
-        if current_block - token.owners[index + 1].block > self.dispute_window:
+        if current_block - hop.block > self.dispute_window:
             return False
         token.frozen = True
         return True
 
     def reverse(self, token_id: int, index: int, current_block: int, caller: Address) -> None:
-        """Return the token to owners[index] by appending a fresh record, and
-        unfreeze it."""
+        """Return the token to the owner at record `index` by appending a
+        fresh record, and unfreeze it."""
         self._require_governance(caller)
         token = self._token(token_id)
         if not token.frozen:
             raise NotFrozenError(f"token {token_id} is not frozen")
-        if not 0 <= index < len(token.owners):
+        prior = token.record(index)
+        if prior is None:
             raise UnknownTokenError(f"token {token_id} has no record {index}")
-        token.owners.append(OwnerRecord(token.owners[index].owner, current_block))
+        token.owners.append(OwnerRecord(prior.owner, current_block))
         token.frozen = False
 
     def reject_reverse(self, token_id: int, caller: Address) -> None:
@@ -148,7 +156,7 @@ class NftRegistry:
         if its successor's block is still inside the window (its transfer can
         still be disputed) or it is the current owner.  Blocks are
         non-decreasing, so the kept records form a suffix and every still
-        admissible freeze stays admissible at a shifted index.
+        admissible freeze stays admissible at its index.
         """
         results = []
         for token_id in token_ids:
@@ -165,5 +173,6 @@ class NftRegistry:
             ]
             dropped = len(owners) - len(kept)
             token.owners = kept
+            token.dropped += dropped
             results.append(NftCleanResult(token_id, "cleaned", dropped=dropped))
         return results

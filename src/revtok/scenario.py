@@ -13,10 +13,10 @@ runs: the report is a pure function of the scenario text.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from .errors import LedgerError, ParseError
+from .errors import LedgerError, ParseError, UnknownClaimError
 from .freeze import Claim, FreezeEngine
 from .governance import (
     FeePolicy,
@@ -31,16 +31,49 @@ from .ledger import BurnSource, TokenLedger
 from .nft import NftRegistry
 from .spendlog import EpochConfig, SpendRef
 
-OPS = {
-    "config", "judges", "advanceBlock", "mint", "transfer", "rtransfer",
-    "burn", "clean", "nftMint", "nftTransfer", "nftClean",
-    "submitFreeze", "commit", "reveal", "tally", "expect",
+# The keys each operation takes.  In a spec, `#` marks a non-negative integer
+# and `?` an optional key.  submitFreeze and expect take different keys per
+# kind=; an expect kind's compared keys follow the `|`, and its line must carry
+# at least one of them.  `config` keys are checked when the line runs.
+_SUBMIT = "claimant stake# tip#? evidence? seed?"
+OP_KEYS: dict[str, str | dict[str, str] | None] = {
+    "config": None,
+    "judges": "ids",
+    "advanceBlock": "to#",
+    "mint": "to amount#",
+    "transfer": "from to amount#",
+    "rtransfer": "from to amount#",
+    "burn": "from amount# source?",
+    "clean": "epoch# senders",
+    "nftMint": "token# to",
+    "nftTransfer": "token# to from?",
+    "nftClean": "tokens",
+    "submitFreeze": {
+        "fungible": f"{_SUBMIT} epoch# from index#",
+        "nft": f"{_SUBMIT} token# index#",
+    },
+    "commit": "case# judge commitment? vote? salt?",  # commitment, or vote and salt
+    "reveal": "case# judge vote salt",
+    "tally": "case#",
+    "expect": {
+        "balance": "addr | r# nr# frozen# available#",
+        "supply": "| minted# burned# circulating#",
+        "spend": "epoch# from index# | amount# original#",
+        "phase": "case# | value",
+        "nftOwner": "token# | owner",
+        "nftFrozen": "token# | value",
+        "nftHistory": "token# | length#",
+        # claim= picks the claim: its 1-based number, or `last` (the default)
+        "freeze": "claim#? addr | amount#",
+        "freezeTotal": "claim#? | amount#",
+        "oblig": "claim#? addr | amount#",
+        "claimStatus": "claim#? | value",
+        "edge": "claim#? src dst | value#",
+    },
 }
 
-EXPECT_KINDS = {
-    "balance", "supply", "freeze", "freezeTotal", "oblig", "spend",
-    "edge", "claimStatus", "phase", "nftOwner", "nftFrozen", "nftHistory",
-}
+# Keys whose value is one of a fixed set, on whichever line they appear.
+_CHOICES = {"source": ("reversible", "nonreversible"), "vote": ("approve", "reject")}
 
 
 @dataclass
@@ -66,7 +99,7 @@ def parse_scenario(text: str) -> list[ScenarioOp]:
             continue
         tokens = line.split()
         name = tokens[0]
-        if name not in OPS:
+        if name not in OP_KEYS:
             raise ParseError(f"unknown operation '{name}'", line_no, raw.find(name) + 1)
         params: dict[str, str] = {}
         expect_error = None
@@ -92,93 +125,45 @@ def parse_scenario(text: str) -> list[ScenarioOp]:
     return ops
 
 
-def _int_param(op: ScenarioOp, raw: str, key: str, required: bool = True) -> int | None:
-    value = op.params.get(key)
-    if value is None:
-        if required:
-            raise ParseError(f"'{op.name}' needs {key}=", op.line)
-        return None
-    try:
-        n = int(value)
-    except ValueError:
-        raise ParseError(
-            f"malformed {key} '{value}'", op.line, raw.find(value) + 1
-        ) from None
-    if n < 0:
-        raise ParseError(f"{key} must be non-negative", op.line, raw.find(value) + 1)
-    return n
-
-
-def _require(op: ScenarioOp, *keys: str) -> None:
-    for key in keys:
-        if key not in op.params:
-            raise ParseError(f"'{op.name}' needs {key}=", op.line)
-
-
-_OP_INT_FIELDS = {
-    "advanceBlock": ["to"],
-    "mint": ["amount"],
-    "transfer": ["amount"],
-    "rtransfer": ["amount"],
-    "burn": ["amount"],
-    "clean": ["epoch"],
-    "nftMint": ["token"],
-    "nftTransfer": ["token"],
-    "commit": ["case"],
-    "reveal": ["case"],
-    "tally": ["case"],
-}
-
-_OP_REQUIRED = {
-    "advanceBlock": ["to"],
-    "mint": ["to", "amount"],
-    "transfer": ["from", "to", "amount"],
-    "rtransfer": ["from", "to", "amount"],
-    "burn": ["from", "amount"],
-    "clean": ["epoch", "senders"],
-    "nftMint": ["token", "to"],
-    "nftTransfer": ["token", "to"],
-    "nftClean": ["tokens"],
-    "submitFreeze": ["kind", "claimant", "stake"],
-    "commit": ["case", "judge"],
-    "reveal": ["case", "judge", "vote", "salt"],
-    "tally": ["case"],
-    "expect": ["kind"],
-    "judges": ["ids"],
-}
-
-
 def _validate_op(op: ScenarioOp, raw: str) -> None:
-    _require(op, *_OP_REQUIRED.get(op.name, []))
-    for key in _OP_INT_FIELDS.get(op.name, []):
-        _int_param(op, raw, key)
-    if op.name == "burn" and op.params.get("source", "nonreversible") not in (
-        "reversible", "nonreversible"
-    ):
-        raise ParseError("burn source must be reversible or nonreversible", op.line)
-    if op.name == "submitFreeze":
-        kind = op.params["kind"]
-        if kind == "fungible":
-            _require(op, "epoch", "from", "index")
-            _int_param(op, raw, "epoch")
-            _int_param(op, raw, "index")
-        elif kind == "nft":
-            _require(op, "token", "index")
-            _int_param(op, raw, "token")
-            _int_param(op, raw, "index")
-        else:
-            raise ParseError("submitFreeze kind must be fungible or nft", op.line)
-        _int_param(op, raw, "stake")
-        _int_param(op, raw, "tip", required=False)
-    if op.name == "commit" and "commitment" not in op.params:
-        _require(op, "vote", "salt")
-    if op.name in ("commit", "reveal") and "vote" in op.params:
-        if op.params["vote"] not in ("approve", "reject"):
-            raise ParseError("vote must be approve or reject", op.line)
-    if op.name == "expect":
-        kind = op.params["kind"]
-        if kind not in EXPECT_KINDS:
-            raise ParseError(f"unknown expect kind '{kind}'", op.line)
+    """Check a line against its OP_KEYS spec: every required key present, no
+    other key, integers well formed, choices among their values."""
+    spec = OP_KEYS[op.name]
+    if spec is None:
+        return
+    params = op.params
+    if isinstance(spec, dict):
+        if params.get("kind") not in spec:
+            raise ParseError(f"'{op.name}' needs kind= one of {', '.join(spec)}", op.line)
+        spec = "kind " + spec[params["kind"]]
+    fixed, _, compared = spec.partition("|")
+    words = {w.rstrip("#?"): w for w in fixed.split() + [w + "?" for w in compared.split()]}
+    unknown = sorted(params.keys() - words)
+    if unknown:
+        column = raw.find(f" {unknown[0]}=") + 2
+        raise ParseError(f"'{op.name}' takes no key '{unknown[0]}'", op.line, column)
+    for key, word in words.items():
+        value = params.get(key)
+        if value is None:
+            if not word.endswith("?"):
+                raise ParseError(f"'{op.name}' needs {key}=", op.line)
+        elif "#" in word and not (key == "claim" and value == "last"):
+            column = raw.find(f"{key}={value}") + len(key) + 2
+            try:
+                n = int(value)
+            except ValueError:
+                raise ParseError(f"malformed {key} '{value}'", op.line, column) from None
+            if n < 0:
+                raise ParseError(f"{key} must be non-negative", op.line, column)
+        elif key in _CHOICES and value not in _CHOICES[key]:
+            raise ParseError(f"{key} must be one of {', '.join(_CHOICES[key])}", op.line)
+    compared_keys = [word.rstrip("#") for word in compared.split()]
+    if compared_keys and not params.keys() & set(compared_keys):
+        raise ParseError(
+            f"expect kind={params['kind']} compares none of {', '.join(compared_keys)}", op.line
+        )
+    if op.name == "commit" and not ("commitment" in params or {"vote", "salt"} <= params.keys()):
+        raise ParseError("'commit' needs commitment=, or vote= and salt=", op.line)
 
 
 def _parse_hex(value: str, what: str, line: int) -> bytes:
@@ -399,34 +384,23 @@ class ScenarioRunner:
 
     # -- expectations -----------------------------------------------------------
 
-    def _pick_claim(self, params: dict[str, str]) -> Claim | None:
-        selector = params.get("claim", "last")
-        order = self.freeze.claim_order
-        if not order:
-            return None
-        if selector == "last":
-            return self.freeze.claims[order[-1]]
-        index = int(selector) - 1
-        if not 0 <= index < len(order):
-            return None
-        return self.freeze.claims[order[index]]
-
     def _evaluate_expect(self, op: ScenarioOp) -> Check:
         p = op.params
-        kind = p["kind"]
         label = " ".join(f"{k}={v}" for k, v in p.items())
-        try:
-            failures = self._expect_failures(kind, p)
-        except LedgerError as err:
-            failures = [f"{type(err).__name__}: {err}"]
-        return Check(op.line, label, not failures, "; ".join(failures))
-
-    def _expect_failures(self, kind: str, p: dict[str, str]) -> list[str]:
         failures: list[str] = []
-
-        def want(actual: int | str | bool, key: str) -> None:
+        try:
+            facts = self._expect_facts(p)
+        except LedgerError as err:
+            facts, failures = {}, [f"{type(err).__name__}: {err}"]
+        for key, actual in facts.items():
             if key not in p:
-                return
+                continue
+            if isinstance(actual, list):  # edge: some src->dst edge has the value
+                if int(p[key]) not in actual:
+                    failures.append(
+                        f"no edge {p['src']}->{p['dst']} with value {p[key]}; saw {actual}"
+                    )
+                continue
             expected: Any = p[key]
             if isinstance(actual, bool):
                 expected = expected == "true"
@@ -434,62 +408,58 @@ class ScenarioRunner:
                 expected = int(expected)
             if actual != expected:
                 failures.append(f"{key}: expected {expected}, got {actual}")
+        return Check(op.line, label, not failures, "; ".join(failures))
 
+    def _expect_facts(self, p: dict[str, str]) -> dict[str, Any]:
+        """What an expect line of kind p["kind"] can compare, under the
+        compared key names its OP_KEYS spec gives."""
+        kind = p["kind"]
         if kind == "balance":
             acct = self.ledger.account(p["addr"])
-            want(acct.reversible, "r")
-            want(acct.nonreversible, "nr")
-            want(acct.frozen, "frozen")
-            want(acct.available, "available")
-        elif kind == "supply":
-            want(self.ledger.total_minted, "minted")
-            want(self.ledger.total_burned, "burned")
-            want(self.ledger.circulating(), "circulating")
-        elif kind in ("freeze", "freezeTotal", "oblig", "edge", "claimStatus"):
-            claim = self._pick_claim(p)
-            if claim is None:
-                return [f"no claim matches selector '{p.get('claim', 'last')}'"]
-            if kind == "freeze":
-                want(claim.plan.to_freeze.get(p["addr"], 0), "amount")
-            elif kind == "freezeTotal":
-                want(claim.plan.total_frozen, "amount")
-            elif kind == "oblig":
-                want(claim.plan.obligations.get(p["addr"], 0), "amount")
-            elif kind == "claimStatus":
-                want(claim.status.value, "value")
-            else:  # edge
-                value = int(p["value"])
-                hit = any(
-                    src == p["src"] and dst == p["dst"] and val == value
-                    for src, dst, val, _seq in claim.graph_edges
-                )
-                if not hit:
-                    edges = [
-                        (src, dst, val)
-                        for src, dst, val, _seq in claim.graph_edges
-                        if src == p["src"] and dst == p["dst"]
-                    ]
-                    failures.append(
-                        f"no edge {p['src']}->{p['dst']} with value {value}; saw {edges}"
-                    )
-        elif kind == "spend":
-            ref = SpendRef(int(p["epoch"]), p["from"], int(p["index"]))
-            record = self.ledger.log.resolve(ref)
-            want(record.amount, "amount")
-            want(record.original_amount, "original")
-        elif kind == "phase":
-            case = self.gov.cases.get(int(p["case"]))
-            if case is None:
-                return [f"no case {p['case']}"]
-            want(case.phase.value, "value")
-        elif kind == "nftOwner":
-            want(self.nft.owner_of(int(p["token"])), "owner")
-        elif kind == "nftFrozen":
+            return {
+                "r": acct.reversible,
+                "nr": acct.nonreversible,
+                "frozen": acct.frozen,
+                "available": acct.available,
+            }
+        if kind == "supply":
+            return {
+                "minted": self.ledger.total_minted,
+                "burned": self.ledger.total_burned,
+                "circulating": self.ledger.circulating(),
+            }
+        if kind == "spend":
+            record = self.ledger.log.resolve(SpendRef(int(p["epoch"]), p["from"], int(p["index"])))
+            return {"amount": record.amount, "original": record.original_amount}
+        if kind == "phase":
+            return {"value": self.gov._case(int(p["case"])).phase.value}
+        if kind.startswith("nft"):
             token = self.nft._token(int(p["token"]))
-            want(token.frozen, "value")
-        elif kind == "nftHistory":
-            want(len(self.nft.history(int(p["token"]))), "length")
-        return failures
+            if kind == "nftOwner":
+                return {"owner": token.current_owner}
+            if kind == "nftFrozen":
+                return {"value": token.frozen}
+            return {"length": len(token.owners)}  # nftHistory
+        claim = self._pick_claim(p.get("claim", "last"))
+        if kind == "edge":
+            return {"value": [
+                value for src, dst, value, _seq in claim.graph_edges
+                if (src, dst) == (p["src"], p["dst"])
+            ]}
+        if kind == "claimStatus":
+            return {"value": claim.status.value}
+        if kind == "freeze":
+            return {"amount": claim.plan.to_freeze.get(p["addr"], 0)}
+        if kind == "oblig":
+            return {"amount": claim.plan.obligations.get(p["addr"], 0)}
+        return {"amount": claim.plan.total_frozen}  # freezeTotal
+
+    def _pick_claim(self, selector: str) -> Claim:
+        order = self.freeze.claim_order
+        index = len(order) - 1 if selector == "last" else int(selector) - 1
+        if not 0 <= index < len(order):
+            raise UnknownClaimError(f"no claim matches selector '{selector}'")
+        return self.freeze.claims[order[index]]
 
     # -- report ---------------------------------------------------------------
 

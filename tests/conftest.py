@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from revtok import (
     EpochConfig,
     FeePolicy,
     FreezeEngine,
+    GraphEdge,
     Governance,
     JudgePool,
     NftRegistry,
+    SpendRef,
     TokenLedger,
+    TransferGraph,
     Vote,
     commitment_hash,
 )
@@ -55,6 +60,37 @@ def vote_round(gov: Governance, case_id: int, votes: dict[str, Vote], salt_base:
         salt = bytes([salt_base + i])
         gov.cast_reveal(case_id, judge, vote, salt)
     return gov.tally(case_id)
+
+
+def random_dag(nodes: int, edges: int, seed: int) -> tuple[TransferGraph, dict[str, int]]:
+    """A rooted random DAG with every node reachable from the root, built
+    directly (bypassing the log and graph construction) to measure calc_freeze
+    alone.
+
+    Edge seqs ascend with the source index, so seqs increase along every
+    path, matching what the trace construction guarantees.  Node balances are
+    zero so obligations propagate as deep as the edge capacities allow.
+    """
+    rng = random.Random(seed)
+    names = ["n%d" % i for i in range(nodes)]
+    raw: list[tuple[int, int, int]] = []  # (src index, dst index, value)
+    for i in range(1, nodes):
+        raw.append((rng.randint(0, i - 1), i, rng.randint(1, 100)))
+    for _ in range(edges - (nodes - 1)):
+        i = rng.randint(0, nodes - 2)
+        j = rng.randint(i + 1, nodes - 1)
+        raw.append((i, j, rng.randint(1, 100)))
+    raw.sort(key=lambda e: e[0])
+    graph = TransferGraph(root=names[0], root_arrival_seq=0, out={n: [] for n in names})
+    # One source's edges must sit newest-first: assign seqs ascending, then
+    # reverse each source's list.
+    for seq, (src_i, dst_i, value) in enumerate(raw, start=1):
+        graph.out[names[src_i]].append(
+            GraphEdge(names[src_i], names[dst_i], value, seq, SpendRef(0, names[src_i], 0))
+        )
+    for out in graph.out.values():
+        out.reverse()
+    return graph, {name: 0 for name in names}
 
 
 @pytest.fixture

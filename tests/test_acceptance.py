@@ -20,8 +20,7 @@ from pathlib import Path
 import conftest
 from test_freeze_graph import all_simple_cycles, edge, has_cycle, manual_graph
 
-from revtok import NftRegistry, SpendRef, eliminate_cycles
-from revtok.bench import run_bench
+from revtok import NftRegistry, SpendRef, calc_freeze, eliminate_cycles
 from revtok.oracle import SHAPES, generate_trial, oracle_check, run_and_check
 from revtok.oracle import GOVERNANCE, _replay_on_engine
 from revtok.scenario import run_scenario_text
@@ -193,13 +192,15 @@ def test_criterion_6_double_freeze_contributes_nothing():
 def test_criterion_7_work_is_linear_at_desk_scale():
     info = {}
     with criterion(7, "10k-node / 100k-edge graph: work <= V+E, freeze calc < 2 s", info):
-        report = run_bench(nodes=10_000, edges=100_000, seed=7)
-        assert report["withinBound"] is True
-        assert report["nodesVisited"] + report["edgesTouched"] <= 110_000
-        assert report["seconds"] < 2.0
+        graph, balances = conftest.random_dag(nodes=10_000, edges=100_000, seed=7)
+        demand = sum(e.value for e in graph.edges) // 2 + 1
+        started = time.perf_counter()
+        plan = calc_freeze(graph, demand, balances.__getitem__)
+        seconds = round(time.perf_counter() - started, 4)
+        assert plan.nodes_visited + plan.edges_touched <= 10_000 + 100_000
+        assert seconds < 2.0
         info["note"] = (
-            f"{report['nodesVisited']} nodes + {report['edgesTouched']} edge touches, "
-            f"{report['seconds']}s"
+            f"{plan.nodes_visited} nodes + {plan.edges_touched} edge touches, {seconds}s"
         )
 
 
@@ -265,15 +266,10 @@ def _fuzz_nft_freezability(violations: list[str]) -> None:
             block += rng.randrange(0, 8)
             reg.transfer(1, f"a{i + 1}", block=block)
         now = block + rng.randrange(0, 2 * window)
-        before = {
-            (reg.history(1)[i + 1].owner, reg.history(1)[i + 1].block)
-            for i in reg.disputable_indexes(1, now)
-        }
+        token = reg._token(1)
+        before = {(i, token.record(i + 1)) for i in reg.disputable_indexes(1, now)}
         reg.clean([1], current_block=now)
-        after = {
-            (reg.history(1)[i + 1].owner, reg.history(1)[i + 1].block)
-            for i in reg.disputable_indexes(1, now)
-        }
+        after = {(i, token.record(i + 1)) for i in reg.disputable_indexes(1, now)}
         if before != after:
             violations.append(f"nft clean lost a freezable hop on trial {t}")
 

@@ -4,7 +4,7 @@ import random
 
 from revtok import build_graph, calc_freeze, eliminate_cycles
 
-from conftest import make_ledger
+from conftest import make_ledger, random_dag
 
 
 def plan_for(ledger, ref, demand=None):
@@ -132,3 +132,27 @@ def test_instrumentation_is_linear(ledger):
     plan = plan_for(ledger, ref)
     assert plan.nodes_visited <= 11
     assert plan.edges_touched <= 10
+
+
+def test_random_dag_is_acyclic_and_sized():
+    graph, balances = random_dag(nodes=200, edges=600, seed=7)
+    assert len(graph.edges) == 600
+    assert len(balances) == 200
+    # every edge goes from a lower to a higher node index: acyclic by shape
+    for e in graph.edges:
+        assert int(e.src[1:]) < int(e.dst[1:])
+    # within one source, the edge list runs newest-first
+    per_src: dict[str, list[int]] = {}
+    for e in graph.edges:
+        per_src.setdefault(e.src, []).append(e.seq)
+    for seqs in per_src.values():
+        assert seqs == sorted(seqs, reverse=True)
+
+
+def test_random_dag_touch_counts_are_linear():
+    graph, balances = random_dag(nodes=300, edges=900, seed=3)
+    demand = sum(e.value for e in graph.edges) // 2 + 1
+    plan = calc_freeze(graph, demand, balances.__getitem__)
+    assert plan.nodes_visited <= 300
+    assert plan.edges_touched <= 900
+    assert plan.nodes_visited + plan.edges_touched <= 1200

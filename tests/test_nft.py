@@ -118,6 +118,19 @@ def test_clean_keeps_window_relevant_suffix():
     assert again.dropped == 0
 
 
+def test_indexes_survive_clean():
+    reg = make_registry(window=10)
+    reg.mint(1, "a", block=1)
+    for owner, block in (("b", 2), ("c", 3), ("d", 4), ("e", 14)):
+        reg.transfer(1, owner, block=block)
+    assert reg.clean([1], current_block=14)[0].dropped == 2
+    assert reg.disputable_indexes(1, current_block=14) == [2, 3]
+    assert reg.freeze(1, 1, current_block=14, caller=GOV) is False  # cleaned away
+    assert reg.freeze(1, 2, current_block=14, caller=GOV) is True
+    reg.reverse(1, 2, current_block=15, caller=GOV)
+    assert reg.owner_of(1) == "c"
+
+
 def test_clean_skips_frozen_tokens():
     reg = make_registry(window=10)
     reg.mint(1, "a", block=1)
@@ -130,7 +143,7 @@ def test_clean_skips_frozen_tokens():
 
 def test_clean_preserves_freezability():
     # every hop that was disputable before a sweep must still be freezable
-    # after it, identified by (new owner, block)
+    # after it, at the same absolute index and naming the same record
     rng = random.Random(17)
     for trial in range(60):
         window = rng.randrange(5, 30)
@@ -141,13 +154,8 @@ def test_clean_preserves_freezability():
             block += rng.randrange(0, 8)
             reg.transfer(1, f"a{i + 1}", block=block)
         now = block + rng.randrange(0, 2 * window)
-        before = {
-            (reg.history(1)[i + 1].owner, reg.history(1)[i + 1].block)
-            for i in reg.disputable_indexes(1, now)
-        }
+        token = reg._token(1)
+        before = {(i, token.record(i + 1)) for i in reg.disputable_indexes(1, now)}
         reg.clean([1], current_block=now)
-        after = {
-            (reg.history(1)[i + 1].owner, reg.history(1)[i + 1].block)
-            for i in reg.disputable_indexes(1, now)
-        }
+        after = {(i, token.record(i + 1)) for i in reg.disputable_indexes(1, now)}
         assert before == after, trial

@@ -1,9 +1,7 @@
 from __future__ import annotations
 
-import json
 import random
 
-from revtok.bench import bench_report_json, random_dag, run_bench
 from revtok.oracle import (
     SHAPES,
     generate_trial,
@@ -136,31 +134,3 @@ def test_oracle_catches_an_inflated_edge_obligation():
         tripped += 1
     assert tripped > 10
 
-
-# -- bench --------------------------------------------------------------------
-
-
-def test_random_dag_is_acyclic_and_sized():
-    graph, balances = random_dag(nodes=200, edges=600, seed=7)
-    assert len(graph.edges) == 600
-    assert len(balances) == 200
-    # every edge goes from a lower to a higher node index: acyclic by shape
-    for e in graph.edges:
-        assert int(e.src[1:]) < int(e.dst[1:])
-    # within one source, the edge list runs newest-first
-    per_src: dict[str, list[int]] = {}
-    for e in graph.edges:
-        per_src.setdefault(e.src, []).append(e.seq)
-    for seqs in per_src.values():
-        assert seqs == sorted(seqs, reverse=True)
-
-
-def test_run_bench_reports_linear_touch_counts():
-    report = run_bench(nodes=300, edges=900, seed=3)
-    assert report["withinBound"] is True
-    assert report["nodesVisited"] <= 300
-    assert report["edgesTouched"] <= 900
-    assert report["bound"] == 1200
-    assert report["seconds"] >= 0
-    parsed = json.loads(bench_report_json(report))
-    assert parsed["nodes"] == 300

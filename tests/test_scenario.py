@@ -79,6 +79,27 @@ def test_enum_fields_are_validated():
         parse_scenario("burn from=a amount=1 source=gold")
 
 
+@pytest.mark.parametrize("line", [
+    "expect kind=nftOwner token=1 value=c",  # nftOwner compares owner=
+    "expect kind=balance addr=a",  # compares nothing
+    "expect kind=balance addr=a nonreversible=5",  # the key is nr=
+    "expect kind=edge src=a dst=b",  # an edge check needs value=
+    "mint to=a amount=1 amout=3",
+    "submitFreeze kind=fungible claimant=v from=v epoch=0 index=0 stake=2 tpi=5",
+    "expect kind=phase case=x value=Trial",
+    "expect kind=freeze claim=x addr=a amount=1",
+])
+def test_unknown_vacuous_and_malformed_keys_fail(line):
+    with pytest.raises(ParseError):
+        parse_scenario(line)
+
+
+def test_claim_selector_accepts_last_and_numbers():
+    for claim in ("last", "2"):
+        op, = parse_scenario(f"expect kind=freeze claim={claim} addr=a amount=1")
+        assert op.params["claim"] == claim
+
+
 # -- running ---------------------------------------------------------------------
 
 
@@ -188,18 +209,18 @@ def test_cli_replay_exit_codes(tmp_path, capsys):
     syn = tmp_path / "syn.scn"
     syn.write_text("warp to=a\n")
     assert cli_main(["replay", str(syn)]) == 2
+    selector = tmp_path / "selector.scn"
+    selector.write_text("expect kind=phase case=x value=Trial\n")
+    assert cli_main(["replay", str(selector)]) == 2
     assert cli_main(["replay", str(tmp_path / "missing.scn")]) == 2
     err = capsys.readouterr().err
     assert "line 1" in err
 
 
-def test_cli_oracle_and_bench(tmp_path, capsys):
+def test_cli_oracle(tmp_path):
     out = tmp_path / "oracle.json"
     assert cli_main(["oracle", "--trials", "40", "--seed", "5",
                      "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["pass"] is True
     assert report["trials"] == 40
-    assert cli_main(["bench", "--nodes", "50", "--edges", "120", "--seed", "1"]) == 0
-    bench = json.loads(capsys.readouterr().out)
-    assert bench["withinBound"] is True
