@@ -159,38 +159,30 @@ def eliminate_cycles(graph: TransferGraph) -> TransferGraph:
 
 
 @dataclass
-class EdgeObligation:
-    """Instrumentation row: the obligation assigned to one touched edge."""
-
-    ref: SpendRef
-    src: Address
-    dst: Address
-    seq: int
-    value: int
-    obligation: int
-
-
-@dataclass
 class FreezePlan:
     """Outcome of one freeze computation, before it is applied.
 
     to_freeze maps every graph node to the amount locked there.  obligations
-    maps each node to the total obligation that reached it.  per_edge lists
-    every edge the pass touched, with the obligation it carried (possibly 0).
-    absorbed_by_burn and residual account for obligation that no freeze could
-    cover: coins burned downstream, and obligation stranded where outgoing
-    capacity ran out.
+    maps each node to the total obligation that reached it.  per_edge pairs
+    every edge the pass touched, in pass order, with the obligation it carried
+    (possibly 0); the edges are the traced graph's own.  absorbed_by_burn and
+    residual account for obligation that no freeze could cover: coins burned
+    downstream, and obligation stranded where outgoing capacity ran out, so
+    each node's obligation equals its frozen, absorbed and residual amounts
+    plus what its per_edge rows passed on.  edge_count is the size of the
+    graph the pass ran on.
     """
 
     root: Address
     demand: int
     to_freeze: dict[Address, int] = field(default_factory=dict)
     obligations: dict[Address, int] = field(default_factory=dict)
-    per_edge: list[EdgeObligation] = field(default_factory=list)
+    per_edge: list[tuple[GraphEdge, int]] = field(default_factory=list)
     absorbed_by_burn: dict[Address, int] = field(default_factory=dict)
     residual: dict[Address, int] = field(default_factory=dict)
     nodes_visited: int = 0
     edges_touched: int = 0
+    edge_count: int = 0
 
     @property
     def total_frozen(self) -> int:
@@ -220,6 +212,7 @@ def calc_freeze(graph: TransferGraph, demand: int, balance_of) -> FreezePlan:
     adj = graph.out
     indegree = dict.fromkeys(adj, 0)
     for edges in adj.values():
+        plan.edge_count += len(edges)
         for e in edges:
             indegree[e.dst] += 1
     queue = [n for n in adj if indegree[n] == 0]
@@ -241,9 +234,7 @@ def calc_freeze(graph: TransferGraph, demand: int, balance_of) -> FreezePlan:
                 plan.edges_touched += 1
                 passed = min(remaining, edge.value)
                 obligations[edge.dst] += passed
-                plan.per_edge.append(
-                    EdgeObligation(edge.ref, edge.src, edge.dst, edge.seq, edge.value, passed)
-                )
+                plan.per_edge.append((edge, passed))
                 remaining -= passed
                 if remaining <= 0:
                     break
@@ -267,9 +258,11 @@ class ClaimStatus(enum.Enum):
 class Claim:
     """A filed freeze.
 
-    The plan is the claim's only record of what it locked: its nonzero
-    to_freeze amounts are what settlement moves or releases, and its nonzero
-    per_edge obligations are the record debits a rejection restores.
+    The plan is the claim's only record of what it locked and why: its
+    nonzero to_freeze amounts are what settlement moves or releases, and its
+    nonzero per_edge obligations are the record debits a rejection restores.
+    The claim keeps no copy of the traced graph; only the edges the freeze
+    pass touched stay reachable, through per_edge.
     """
 
     claim_id: str
@@ -277,7 +270,6 @@ class Claim:
     disputed: SpendRef
     status: ClaimStatus
     plan: FreezePlan
-    graph_edges: list[tuple[Address, Address, int, int]]  # (src, dst, value, seq) after cancelling
 
 
 class FreezeEngine:
@@ -342,19 +334,12 @@ class FreezeEngine:
                 acct = self.ledger._acct(addr)
                 acct.frozen += amount
                 assert acct.frozen <= acct.reversible
-        for row in plan.per_edge:
-            if row.obligation > 0:
-                rec = self.ledger.log.resolve(row.ref)
-                rec.amount -= row.obligation
+        for edge, obligation in plan.per_edge:
+            if obligation > 0:
+                rec = self.ledger.log.resolve(edge.ref)
+                rec.amount -= obligation
                 assert rec.amount >= 0
-        claim = Claim(
-            claim_id=claim_id,
-            victim=victim,
-            disputed=disputed,
-            status=ClaimStatus.FROZEN,
-            plan=plan,
-            graph_edges=[(e.src, e.dst, e.value, e.seq) for e in graph.edges],
-        )
+        claim = Claim(claim_id, victim, disputed, ClaimStatus.FROZEN, plan)
         self.claims[claim_id] = claim
         self.claim_order.append(claim_id)
         return claim_id
@@ -403,12 +388,12 @@ class FreezeEngine:
                 acct = self.ledger._acct(addr)
                 acct.frozen -= amount
                 assert acct.frozen >= 0
-        for row in claim.plan.per_edge:
-            if row.obligation > 0:
+        for edge, obligation in claim.plan.per_edge:
+            if obligation > 0:
                 try:
-                    rec = self.ledger.log.resolve(row.ref)
+                    rec = self.ledger.log.resolve(edge.ref)
                 except UnknownSpenditureError:
                     continue
-                rec.amount += row.obligation
+                rec.amount += obligation
                 assert rec.amount <= rec.original_amount
         claim.status = ClaimStatus.REJECTED

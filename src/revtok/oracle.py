@@ -341,7 +341,6 @@ def run_and_check(spec: TrialSpec) -> list[str]:
     demand = record.amount
     claim_id = engine.execute_freeze(ref, record.sender, ledger.current_block, GOVERNANCE)
     plan = engine.claims[claim_id].plan
-    graph_edges = engine.claims[claim_id].graph_edges
     trace = _trace_raw(spec)
     violations: list[str] = []
 
@@ -362,8 +361,8 @@ def run_and_check(spec: TrialSpec) -> list[str]:
     # Work is linear in the processed graph.
     if plan.nodes_visited > len(plan.to_freeze):
         bad("linearity", f"visited {plan.nodes_visited} of {len(plan.to_freeze)} nodes")
-    if plan.edges_touched > len(graph_edges):
-        bad("linearity", f"touched {plan.edges_touched} of {len(graph_edges)} edges")
+    if plan.edges_touched > plan.edge_count:
+        bad("linearity", f"touched {plan.edges_touched} of {plan.edge_count} edges")
 
     # Burn absorption can never exceed what was actually burned post-arrival.
     expected_burn = trace[4]
@@ -411,41 +410,41 @@ def _check_obligation_bound(trace, plan, demand: int) -> list[str]:
 
     inflow: dict[str, int] = {}
     outflow: dict[str, int] = {}
-    for row in plan.per_edge:
-        if not 0 <= row.seq < len(records):
-            violations.append(f"obligationBound: row seq {row.seq} is not a raw record")
+    for edge, obligation in plan.per_edge:
+        if not 0 <= edge.seq < len(records):
+            violations.append(f"obligationBound: row seq {edge.seq} is not a raw record")
             continue
-        sender, to, amount = records[row.seq]
-        if sender != row.src or to != row.dst:
+        sender, to, amount = records[edge.seq]
+        if sender != edge.src or to != edge.dst:
             violations.append(
-                f"obligationBound: per-edge row at seq {row.seq} does not match the raw record"
+                f"obligationBound: per-edge row at seq {edge.seq} does not match the raw record"
             )
-        if row.seq <= arrival.get(row.src, len(records)):
+        if edge.seq <= arrival.get(edge.src, len(records)):
             violations.append(
-                f"obligationBound: edge {row.src}->{row.dst} seq {row.seq} predates "
-                f"the funds' arrival at {row.src}"
+                f"obligationBound: edge {edge.src}->{edge.dst} seq {edge.seq} predates "
+                f"the funds' arrival at {edge.src}"
             )
-        if row.value > amount:
+        if edge.value > amount:
             violations.append(
-                f"obligationBound: edge {row.src}->{row.dst} value {row.value} "
+                f"obligationBound: edge {edge.src}->{edge.dst} value {edge.value} "
                 f"> raw transfer amount {amount}"
             )
-        if row.obligation > row.value:
+        if obligation > edge.value:
             violations.append(
-                f"obligationBound: edge {row.src}->{row.dst} obligation {row.obligation} "
-                f"exceeds edge value {row.value}"
+                f"obligationBound: edge {edge.src}->{edge.dst} obligation {obligation} "
+                f"exceeds edge value {edge.value}"
             )
-        inflow[row.dst] = inflow.get(row.dst, 0) + row.obligation
-        outflow[row.src] = outflow.get(row.src, 0) + row.obligation
+        inflow[edge.dst] = inflow.get(edge.dst, 0) + obligation
+        outflow[edge.src] = outflow.get(edge.src, 0) + obligation
 
     def reached(node: str) -> int:
         return inflow.get(node, 0) + (demand if node == root else 0)
 
-    for row in plan.per_edge:
-        if row.obligation > reached(row.src):
+    for edge, obligation in plan.per_edge:
+        if obligation > reached(edge.src):
             violations.append(
-                f"obligationBound: edge {row.src}->{row.dst} obligation {row.obligation} "
-                f"> obligation reaching {row.src} ({reached(row.src)})"
+                f"obligationBound: edge {edge.src}->{edge.dst} obligation {obligation} "
+                f"> obligation reaching {edge.src} ({reached(edge.src)})"
             )
     for node in plan.to_freeze:
         books = (

@@ -395,10 +395,10 @@ class ScenarioRunner:
         for key, actual in facts.items():
             if key not in p:
                 continue
-            if isinstance(actual, list):  # edge: some src->dst edge has the value
+            if isinstance(actual, list):  # edge: some touched src->dst edge has the value
                 if int(p[key]) not in actual:
                     failures.append(
-                        f"no edge {p['src']}->{p['dst']} with value {p[key]}; saw {actual}"
+                        f"no touched edge {p['src']}->{p['dst']} with value {p[key]}; saw {actual}"
                     )
                 continue
             expected: Any = p[key]
@@ -443,8 +443,8 @@ class ScenarioRunner:
         claim = self._pick_claim(p.get("claim", "last"))
         if kind == "edge":
             return {"value": [
-                value for src, dst, value, _seq in claim.graph_edges
-                if (src, dst) == (p["src"], p["dst"])
+                edge.value for edge, _ in claim.plan.per_edge
+                if (edge.src, edge.dst) == (p["src"], p["dst"])
             ]}
         if kind == "claimStatus":
             return {"value": claim.status.value}
@@ -486,10 +486,9 @@ class ScenarioRunner:
             }
             for ref, rec in self.ledger.log.all_records()
         ]
-        claims = []
-        for claim_id in self.freeze.claim_order:
-            claim = self.freeze.claims[claim_id]
-            claims.append({
+        filed = [self.freeze.claims[c] for c in self.freeze.claim_order]
+        claims = [
+            {
                 "id": claim.claim_id,
                 "victim": claim.victim,
                 "status": claim.status.value,
@@ -498,11 +497,15 @@ class ScenarioRunner:
                     "sender": claim.disputed.sender,
                     "index": claim.disputed.index,
                 },
-                "toFreeze": {a: v for a, v in sorted(claim.plan.to_freeze.items())},
-                "obligations": {a: v for a, v in sorted(claim.plan.obligations.items())},
+                "toFreeze": dict(sorted(claim.plan.to_freeze.items())),
+                "obligations": dict(sorted(claim.plan.obligations.items())),
+                "absorbedByBurn": dict(sorted(claim.plan.absorbed_by_burn.items())),
+                "residual": dict(sorted(claim.plan.residual.items())),
                 "totalFrozen": claim.plan.total_frozen,
-                "edges": sorted(claim.graph_edges, key=lambda e: e[3]),
-            })
+                "perEdge": [[e.src, e.dst, e.value, e.seq, ob] for e, ob in claim.plan.per_edge],
+            }
+            for claim in filed
+        ]
         cases = []
         for case_id in sorted(self.gov.cases):
             case = self.gov.cases[case_id]
@@ -529,12 +532,8 @@ class ScenarioRunner:
             for token_id, token in sorted(self.nft.tokens.items())
         }
         stats = {
-            "nodesVisited": sum(
-                self.freeze.claims[c].plan.nodes_visited for c in self.freeze.claim_order
-            ),
-            "edgesTouched": sum(
-                self.freeze.claims[c].plan.edges_touched for c in self.freeze.claim_order
-            ),
+            "nodesVisited": sum(claim.plan.nodes_visited for claim in filed),
+            "edgesTouched": sum(claim.plan.edges_touched for claim in filed),
         }
         return {
             "scenario": self.name,

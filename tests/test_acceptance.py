@@ -137,7 +137,7 @@ def test_criterion_5_cycle_elimination_always_yields_a_dag():
         result = run_scenario_file("cycle_roundtrip.scn")
         assert_green(result)
         claim = result.report["claims"][0]
-        assert any(e[0] == "a0" and e[1] == "a1" and e[2] == 2 for e in claim["edges"])
+        assert any(e[0] == "a0" and e[1] == "a1" and e[2] == 2 for e in claim["perEdge"])
 
         # exhaustive independent verification: after elimination no simple
         # cycle can be assembled from the surviving edges at all

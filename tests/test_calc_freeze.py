@@ -42,7 +42,7 @@ def test_recent_spends_absorb_obligation_first(ledger):
     ledger.rtransfer("a1", "a3", 10, block=4)  # newer outgoing
     plan = plan_for(ledger, ref)
     assert plan.to_freeze == {"a0": 0, "a1": 0, "a2": 0, "a3": 10}
-    by_edge = {(o.src, o.dst): o.obligation for o in plan.per_edge}
+    by_edge = {(e.src, e.dst): ob for e, ob in plan.per_edge}
     assert by_edge[("a1", "a3")] == 10
     # the older edge is never reached: the newest one covered the obligation
     assert ("a1", "a2") not in by_edge

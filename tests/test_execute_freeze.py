@@ -67,7 +67,7 @@ def test_freeze_applies_plan_and_debits():
     claim = eng.claims[cid]
     assert claim.status is ClaimStatus.FROZEN
     assert {a: n for a, n in claim.plan.to_freeze.items() if n} == {"a0": 30, "a1": 20}
-    assert [(r.ref, r.obligation) for r in claim.plan.per_edge if r.obligation] == [(hop, 20)]
+    assert [(e.ref, ob) for e, ob in claim.plan.per_edge if ob] == [(hop, 20)]
 
 
 def test_redispute_while_pending_freezes_nothing():
@@ -79,7 +79,7 @@ def test_redispute_while_pending_freezes_nothing():
     cid2 = eng.execute_freeze(ref, "v", 1, caller=GOV)
     assert eng.claims[cid2].plan.total_frozen == 0
     plan2 = eng.claims[cid2].plan
-    assert not any(plan2.to_freeze.values()) and not any(r.obligation for r in plan2.per_edge)
+    assert not any(plan2.to_freeze.values()) and not any(ob for _, ob in plan2.per_edge)
     assert led.account("a0").frozen == 50  # unchanged
 
 

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from revtok.cli import main as cli_main
+from revtok.freeze import build_graph, eliminate_cycles
 from revtok.oracle import GOVERNANCE, SHAPES, _replay_on_engine, generate_trial
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,20 +63,20 @@ def trial_digest(trials: int, seed: int) -> str:
         spec = generate_trial(rng, SHAPES[index % len(SHAPES)], rng.random() < 0.3)
         ledger, engine, ref = _replay_on_engine(spec)
         victim = ledger.log.resolve(ref).sender
-        claim = engine.claims[
+        graph = eliminate_cycles(build_graph(ledger.log, ref, ledger.log.next_seq))
+        plan = engine.claims[
             engine.execute_freeze(ref, victim, ledger.current_block, GOVERNANCE)
-        ]
-        plan = claim.plan
+        ].plan
         row = [
-            claim.graph_edges,
+            [(e.src, e.dst, e.value, e.seq) for e in graph.edges],
             sorted(plan.to_freeze.items()),
             sorted(plan.obligations.items()),
             sorted(plan.absorbed_by_burn.items()),
             sorted(plan.residual.items()),
             [
-                (r.ref.epoch, r.ref.sender, r.ref.index, r.src, r.dst, r.seq,
-                 r.value, r.obligation)
-                for r in plan.per_edge
+                (e.ref.epoch, e.ref.sender, e.ref.index, e.src, e.dst, e.seq,
+                 e.value, obligation)
+                for e, obligation in plan.per_edge
             ],
             plan.nodes_visited,
             plan.edges_touched,

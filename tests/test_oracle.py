@@ -128,7 +128,8 @@ def test_oracle_catches_an_inflated_edge_obligation():
             continue
         trace = _trace_raw(spec)
         assert not _check_obligation_bound(trace, plan, demand)
-        plan.per_edge[0].obligation += demand
+        edge, obligation = plan.per_edge[0]
+        plan.per_edge[0] = (edge, obligation + demand)
         violations = _check_obligation_bound(trace, plan, demand)
         assert any("obligationBound" in v for v in violations)
         tripped += 1
