@@ -4,9 +4,9 @@
     revtok oracle --trials N --seed S [--burns {none,mixed}] [--out FILE]
 
 Exit codes: 0 success, 1 a check or trial failed, 2 usage or parse error (a
-scenario line with an unknown key, a malformed integer or an `expect` that
-compares nothing is a parse error).  Reports are byte-identical for identical
-inputs and carry no timing.
+scenario line with an unknown key, a malformed integer or hex value, or an
+`expect` that compares nothing is a parse error).  Reports are byte-identical
+for identical inputs and carry no timing.
 """
 
 from __future__ import annotations

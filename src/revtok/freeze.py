@@ -169,7 +169,7 @@ class FreezePlan:
     residual account for obligation that no freeze could cover: coins burned
     downstream, and obligation stranded where outgoing capacity ran out, so
     each node's obligation equals its frozen, absorbed and residual amounts
-    plus what its per_edge rows passed on.  edge_count is the size of the
+    plus what its per_edge rows passed on.  edge_count counts the edges of the
     graph the pass ran on.
     """
 

@@ -24,6 +24,7 @@ from .governance import (
     Governance,
     JudgePool,
     NftTarget,
+    SALT_LENGTH,
     Vote,
     commitment_hash,
 )
@@ -31,11 +32,12 @@ from .ledger import BurnSource, TokenLedger
 from .nft import NftRegistry
 from .spendlog import EpochConfig, SpendRef
 
-# The keys each operation takes.  In a spec, `#` marks a non-negative integer
-# and `?` an optional key.  submitFreeze and expect take different keys per
-# kind=; an expect kind's compared keys follow the `|`, and its line must carry
-# at least one of them.  `config` keys are checked when the line runs.
-_SUBMIT = "claimant stake# tip#? evidence? seed?"
+# The keys each operation takes.  In a spec, `#` marks a non-negative integer,
+# `#*` a comma-separated list of them, `%` hex bytes, `!` true or false, and
+# `?` an optional key.  submitFreeze and expect take different keys per kind=;
+# an expect kind's compared keys follow the `|`, and its line must carry at
+# least one of them.  `config` keys are checked when the line runs.
+_SUBMIT = "claimant stake# tip#? evidence? seed%?"
 OP_KEYS: dict[str, str | dict[str, str] | None] = {
     "config": None,
     "judges": "ids",
@@ -47,13 +49,13 @@ OP_KEYS: dict[str, str | dict[str, str] | None] = {
     "clean": "epoch# senders",
     "nftMint": "token# to",
     "nftTransfer": "token# to from?",
-    "nftClean": "tokens",
+    "nftClean": "tokens#*",
     "submitFreeze": {
         "fungible": f"{_SUBMIT} epoch# from index#",
         "nft": f"{_SUBMIT} token# index#",
     },
-    "commit": "case# judge commitment? vote? salt?",  # commitment, or vote and salt
-    "reveal": "case# judge vote salt",
+    "commit": "case# judge commitment%? vote? salt%?",  # commitment, or vote and salt
+    "reveal": "case# judge vote salt%",
     "tally": "case#",
     "expect": {
         "balance": "addr | r# nr# frozen# available#",
@@ -61,7 +63,7 @@ OP_KEYS: dict[str, str | dict[str, str] | None] = {
         "spend": "epoch# from index# | amount# original#",
         "phase": "case# | value",
         "nftOwner": "token# | owner",
-        "nftFrozen": "token# | value",
+        "nftFrozen": "token# | value!",
         "nftHistory": "token# | length#",
         # claim= picks the claim: its 1-based number, or `last` (the default)
         "freeze": "claim#? addr | amount#",
@@ -72,6 +74,7 @@ OP_KEYS: dict[str, str | dict[str, str] | None] = {
     },
 }
 
+_MARKS = "#*%!?"
 # Keys whose value is one of a fixed set, on whichever line they appear.
 _CHOICES = {"source": ("reversible", "nonreversible"), "vote": ("approve", "reject")}
 
@@ -127,7 +130,7 @@ def parse_scenario(text: str) -> list[ScenarioOp]:
 
 def _validate_op(op: ScenarioOp, raw: str) -> None:
     """Check a line against its OP_KEYS spec: every required key present, no
-    other key, integers well formed, choices among their values."""
+    other key, integers and hex well formed, choices among their values."""
     spec = OP_KEYS[op.name]
     if spec is None:
         return
@@ -137,7 +140,7 @@ def _validate_op(op: ScenarioOp, raw: str) -> None:
             raise ParseError(f"'{op.name}' needs kind= one of {', '.join(spec)}", op.line)
         spec = "kind " + spec[params["kind"]]
     fixed, _, compared = spec.partition("|")
-    words = {w.rstrip("#?"): w for w in fixed.split() + [w + "?" for w in compared.split()]}
+    words = {w.rstrip(_MARKS): w for w in fixed.split() + [w + "?" for w in compared.split()]}
     unknown = sorted(params.keys() - words)
     if unknown:
         column = raw.find(f" {unknown[0]}=") + 2
@@ -147,17 +150,26 @@ def _validate_op(op: ScenarioOp, raw: str) -> None:
         if value is None:
             if not word.endswith("?"):
                 raise ParseError(f"'{op.name}' needs {key}=", op.line)
-        elif "#" in word and not (key == "claim" and value == "last"):
-            column = raw.find(f"{key}={value}") + len(key) + 2
-            try:
-                n = int(value)
-            except ValueError:
-                raise ParseError(f"malformed {key} '{value}'", op.line, column) from None
-            if n < 0:
-                raise ParseError(f"{key} must be non-negative", op.line, column)
+            continue
+        column = raw.find(f"{key}={value}") + len(key) + 2
+        if "#" in word and not (key == "claim" and value == "last"):
+            items = value.split(",") if "*" in word else [value]
+            for item in filter(None, items):  # an empty list item is skipped
+                try:
+                    n = int(item)
+                except ValueError:
+                    raise ParseError(f"malformed {key} '{value}'", op.line, column) from None
+                if n < 0:
+                    raise ParseError(f"{key} must be non-negative", op.line, column)
+        elif "%" in word:
+            data = _parse_hex(value, key, op.line, column)
+            if key == "salt" and len(data) > SALT_LENGTH:
+                raise ParseError(f"salt may be at most {SALT_LENGTH} bytes", op.line, column)
+        elif "!" in word and value not in ("true", "false"):
+            raise ParseError(f"{key} must be true or false", op.line, column)
         elif key in _CHOICES and value not in _CHOICES[key]:
             raise ParseError(f"{key} must be one of {', '.join(_CHOICES[key])}", op.line)
-    compared_keys = [word.rstrip("#") for word in compared.split()]
+    compared_keys = [word.rstrip(_MARKS) for word in compared.split()]
     if compared_keys and not params.keys() & set(compared_keys):
         raise ParseError(
             f"expect kind={params['kind']} compares none of {', '.join(compared_keys)}", op.line
@@ -166,12 +178,12 @@ def _validate_op(op: ScenarioOp, raw: str) -> None:
         raise ParseError("'commit' needs commitment=, or vote= and salt=", op.line)
 
 
-def _parse_hex(value: str, what: str, line: int) -> bytes:
+def _parse_hex(value: str, what: str, line: int, column: int = 1) -> bytes:
     padded = value if len(value) % 2 == 0 else "0" + value
     try:
         return bytes.fromhex(padded)
     except ValueError:
-        raise ParseError(f"malformed {what} '{value}'", line) from None
+        raise ParseError(f"malformed {what} '{value}'", line, column) from None
 
 
 @dataclass

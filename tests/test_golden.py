@@ -47,6 +47,20 @@ def test_scenario_report_is_byte_identical(path, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"{path.stem}.json").read_bytes()
 
 
+@pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)
+def test_claim_books_close_from_the_report(path):
+    # obligation reaching a node = frozen + absorbed by burn + stranded + passed on
+    report = json.loads((GOLDEN / f"{path.stem}.json").read_text())
+    for claim in report["claims"]:
+        passed_on: dict[str, int] = {}
+        for src, _dst, _value, _seq, obligation in claim["perEdge"]:
+            passed_on[src] = passed_on.get(src, 0) + obligation
+        for node, reached in claim["obligations"].items():
+            books = (claim["toFreeze"][node] + claim["absorbedByBurn"][node]
+                     + claim["residual"][node] + passed_on.get(node, 0))
+            assert books == reached, (claim["id"], node)
+
+
 def test_oracle_report_is_byte_identical(tmp_path):
     out = tmp_path / "oracle.json"
     assert cli_main(["oracle", *ORACLE_ARGS, "--out", str(out)]) == 0

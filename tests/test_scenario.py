@@ -88,6 +88,13 @@ def test_enum_fields_are_validated():
     "submitFreeze kind=fungible claimant=v from=v epoch=0 index=0 stake=2 tpi=5",
     "expect kind=phase case=x value=Trial",
     "expect kind=freeze claim=x addr=a amount=1",
+    "nftClean tokens=1,x",
+    f"commit case=1 judge=j vote=approve salt={'01' * 33}",  # salt over 32 bytes
+    f"reveal case=1 judge=j vote=approve salt={'01' * 33}",
+    "commit case=1 judge=j commitment=zz",
+    "reveal case=1 judge=j vote=approve salt=0x",
+    "submitFreeze kind=nft claimant=v token=1 index=0 stake=2 seed=g0",
+    "expect kind=nftFrozen token=1 value=yes",  # a boolean is true or false
 ])
 def test_unknown_vacuous_and_malformed_keys_fail(line):
     with pytest.raises(ParseError):
@@ -212,6 +219,9 @@ def test_cli_replay_exit_codes(tmp_path, capsys):
     selector = tmp_path / "selector.scn"
     selector.write_text("expect kind=phase case=x value=Trial\n")
     assert cli_main(["replay", str(selector)]) == 2
+    commitment = tmp_path / "commitment.scn"
+    commitment.write_text("commit case=1 judge=j commitment=zz\n")
+    assert cli_main(["replay", str(commitment)]) == 2
     assert cli_main(["replay", str(tmp_path / "missing.scn")]) == 2
     err = capsys.readouterr().err
     assert "line 1" in err
