@@ -162,15 +162,18 @@ def eliminate_cycles(graph: TransferGraph) -> TransferGraph:
 class FreezePlan:
     """Outcome of one freeze computation, before it is applied.
 
-    to_freeze maps every graph node to the amount locked there.  obligations
-    maps each node to the total obligation that reached it.  per_edge pairs
-    every edge the pass touched, in pass order, with the obligation it carried
-    (possibly 0); the edges are the traced graph's own.  absorbed_by_burn and
-    residual account for obligation that no freeze could cover: coins burned
-    downstream, and obligation stranded where outgoing capacity ran out, so
-    each node's obligation equals its frozen, absorbed and residual amounts
-    plus what its per_edge rows passed on.  edge_count counts the edges of the
-    graph the pass ran on.
+    to_freeze maps every node of the graph the pass ran on to the amount
+    locked there, and obligations maps each such node to the total obligation
+    that reached it.  per_edge pairs every edge the pass touched, in pass
+    order, with the obligation it carried (possibly 0); the edges are the
+    traced graph's own.  absorbed_by_burn and residual account for obligation
+    that no freeze could cover: coins burned downstream, and obligation
+    stranded where outgoing capacity ran out, so each node's obligation equals
+    its frozen, absorbed and residual amounts plus what its per_edge rows
+    passed on.  edge_count counts the edges of the graph the pass ran on, and
+    edge_iterations every step the pass took over an edge: one per edge in
+    the indegree count, one per edge in the topological release, and
+    edges_touched in the obligation walk.
     """
 
     root: Address
@@ -183,6 +186,7 @@ class FreezePlan:
     nodes_visited: int = 0
     edges_touched: int = 0
     edge_count: int = 0
+    edge_iterations: int = 0
 
     @property
     def total_frozen(self) -> int:
@@ -206,7 +210,7 @@ def calc_freeze(graph: TransferGraph, demand: int, balance_of) -> FreezePlan:
     reverse-chronological order, each taking min(remaining, edge value).
 
     Pure: reads balances through `balance_of`, mutates nothing.  Work is
-    O(nodes + edges); the plan records the touch counts.
+    O(nodes + edges); the plan records the touch and iteration counts.
     """
     plan = FreezePlan(root=graph.root, demand=demand)
     adj = graph.out
@@ -239,11 +243,13 @@ def calc_freeze(graph: TransferGraph, demand: int, balance_of) -> FreezePlan:
                 if remaining <= 0:
                     break
         plan.residual[node] = max(remaining, 0)
+        plan.edge_iterations += len(adj[node])
         for edge in adj[node]:
             indegree[edge.dst] -= 1
             if indegree[edge.dst] == 0:
                 queue.append(edge.dst)
     assert len(queue) == len(adj), "graph fed to calc_freeze must be acyclic"
+    plan.edge_iterations += plan.edge_count + plan.edges_touched
     plan.obligations = obligations
     return plan
 
@@ -262,7 +268,9 @@ class Claim:
     nonzero to_freeze amounts are what settlement moves or releases, and its
     nonzero per_edge obligations are the record debits a rejection restores.
     The claim keeps no copy of the traced graph; only the edges the freeze
-    pass touched stay reachable, through per_edge.
+    pass touched stay reachable, through per_edge.  A claim whose disputed
+    recipient covered the demand traced no graph, so its plan's maps hold the
+    root alone.
     """
 
     claim_id: str
@@ -307,6 +315,12 @@ class FreezeEngine:
         raises every to_freeze account's frozen total, subtracts each per-edge
         obligation from its record, and files a claim that keeps the plan for
         later settlement.
+
+        Funds freeze at the disputed recipient first, so the transfer graph is
+        built and cycle-cancelled only when the recipient's available
+        reversible balance falls short of the demand.  Otherwise the pass runs
+        on the recipient alone: no obligation could leave it either way, so
+        every nonzero amount and every record debit is the same.
         """
         self._require_governance(caller)
         record = self.ledger.log.resolve(disputed)
@@ -318,9 +332,12 @@ class FreezeEngine:
             raise WindowElapsedError(
                 f"record from block {record.block} is outside the window at {current_block}"
             )
-        graph = eliminate_cycles(
-            build_graph(self.ledger.log, disputed, self.ledger.log.next_seq)
-        )
+        if self.ledger.available_rbalance(record.to) >= record.amount:
+            graph = TransferGraph(record.to, record.seq, {record.to: []})
+        else:
+            graph = eliminate_cycles(
+                build_graph(self.ledger.log, disputed, self.ledger.log.next_seq)
+            )
         plan = calc_freeze(graph, record.amount, self.ledger.available_rbalance)
         claim_id = hashlib.sha256(
             b"claim|%d|%d|%s|%d|%d"

@@ -272,12 +272,12 @@ def _trace_raw(spec: TrialSpec):
     return records, t0, arrival, edges, burned
 
 
-def reference_freeze(spec: TrialSpec) -> dict[str, int]:
+def reference_freeze(spec: TrialSpec, trace) -> dict[str, int]:
     """Brute-force freeze map for DAG-shaped trials.
 
-    Replays balances with plain dicts, finds the tainted edges with one
-    ascending pass over the raw records, topologically sorts with Kahn's
-    algorithm, and hands out obligations newest-first.  Shares no code or data
+    Replays balances with plain dicts, takes the tainted edges from `trace`,
+    the `_trace_raw(spec)` result, topologically sorts with Kahn's algorithm,
+    and hands out obligations newest-first.  Shares no code or data
     structures with the engine path.
     """
     r: dict[str, int] = {}
@@ -293,7 +293,7 @@ def reference_freeze(spec: TrialSpec) -> dict[str, int]:
             r[op[2]] = r.get(op[2], 0) + op[3]
         elif op[0] == "rburn":
             r[op[1]] -= op[2]
-    records, t0, arrival, edges, burned = _trace_raw(spec)
+    records, t0, arrival, edges, burned = trace
     root, demand = records[t0][1], records[t0][2]
 
     nodes = list(arrival)
@@ -381,7 +381,7 @@ def run_and_check(spec: TrialSpec) -> list[str]:
                             f"{ledger.total_minted} - {ledger.total_burned}")
 
     if spec.shape == "layered":
-        expected = reference_freeze(spec)
+        expected = reference_freeze(spec, trace)
         actual = plan.to_freeze
         keys = set(expected) | set(actual)
         for key in keys:

@@ -191,16 +191,21 @@ def test_criterion_6_double_freeze_contributes_nothing():
 
 def test_criterion_7_work_is_linear_at_desk_scale():
     info = {}
-    with criterion(7, "10k-node / 100k-edge graph: work <= V+E, freeze calc < 2 s", info):
+    label = ("10k-node / 100k-edge graph: work <= V+E, edge iterations <= 2(V+E), "
+             "freeze calc < 2 s")
+    with criterion(7, label, info):
         graph, balances = conftest.random_dag(nodes=10_000, edges=100_000, seed=7)
         demand = sum(e.value for e in graph.edges) // 2 + 1
         started = time.perf_counter()
         plan = calc_freeze(graph, demand, balances.__getitem__)
         seconds = round(time.perf_counter() - started, 4)
         assert plan.nodes_visited + plan.edges_touched <= 10_000 + 100_000
+        assert plan.edge_iterations == 2 * plan.edge_count + plan.edges_touched
+        assert plan.edge_iterations <= 2 * (10_000 + 100_000)
         assert seconds < 2.0
         info["note"] = (
-            f"{plan.nodes_visited} nodes + {plan.edges_touched} edge touches, {seconds}s"
+            f"{plan.nodes_visited} nodes + {plan.edges_touched} edge touches, "
+            f"{plan.edge_iterations} edge iterations, {seconds}s"
         )
 
 

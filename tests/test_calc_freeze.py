@@ -156,3 +156,4 @@ def test_random_dag_touch_counts_are_linear():
     assert plan.nodes_visited <= 300
     assert plan.edges_touched <= 900
     assert plan.nodes_visited + plan.edges_touched <= 1200
+    assert plan.edge_iterations == 2 * 900 + plan.edges_touched

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import copy
+import random
 
 import pytest
 
 from revtok import (
+    BurnSource,
     ClaimNotFrozenError,
     ClaimStatus,
     InvalidDisputeError,
@@ -13,8 +15,11 @@ from revtok import (
     UnknownClaimError,
     WindowElapsedError,
 )
+from revtok import freeze
+from revtok.freeze import build_graph, calc_freeze, eliminate_cycles
+from revtok.oracle import GOVERNANCE, _replay_on_engine
 
-from conftest import GOV, make_engine, make_ledger
+from conftest import GOV, make_engine, make_ledger, oracle_trials
 
 
 def seed_theft(led, amount=50, stolen_to="a0"):
@@ -189,3 +194,154 @@ def test_claim_ids_are_deterministic_and_unique():
         assert len(a) == 64 and int(a, 16) >= 0
         ids.append((a, b))
     assert ids[0] == ids[1]
+
+
+# -- a claim the disputed recipient covers traces no graph ----------------------
+
+
+def traced_plan(led, ref):
+    """The plan of a full trace and cycle cancel, on the ledger as it stands."""
+    graph = eliminate_cycles(build_graph(led.log, ref, led.log.next_seq))
+    return calc_freeze(graph, led.log.resolve(ref).amount, led.available_rbalance)
+
+
+def assert_same_freeze(plan, traced):
+    """Every nonzero per-node amount, every per-edge row and the touch count agree."""
+    for name in ("to_freeze", "obligations", "absorbed_by_burn", "residual"):
+        nonzero = [{n: v for n, v in getattr(p, name).items() if v} for p in (plan, traced)]
+        assert nonzero[0] == nonzero[1], name
+    rows = [[(e.ref, e.src, e.dst, e.value, e.seq, ob) for e, ob in p.per_edge]
+            for p in (plan, traced)]
+    assert rows[0] == rows[1]
+    assert plan.edges_touched == traced.edges_touched
+
+
+def freeze_like_traced(led, eng, ref, victim, caller=GOV):
+    """Execute a freeze and check its plan against a full trace taken just before."""
+    covered = led.available_rbalance(led.log.resolve(ref).to) >= led.log.resolve(ref).amount
+    traced = traced_plan(led, ref)
+    plan = eng.claims[eng.execute_freeze(ref, victim, led.current_block, caller)].plan
+    assert_same_freeze(plan, traced)
+    if covered:
+        assert (plan.nodes_visited, plan.edge_count) == (1, 0)
+        assert list(plan.to_freeze) == [plan.root]
+    return plan, covered
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    """Count the engine's build_graph calls."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build_graph(*args)
+
+    monkeypatch.setattr(freeze, "build_graph", counting)
+    return calls
+
+
+@pytest.fixture
+def no_trace(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("a claim its recipient covers must not be traced")
+
+    monkeypatch.setattr(freeze, "build_graph", refuse)
+
+
+def test_oracle_trials_freeze_as_a_full_trace_would(build_calls):
+    covered = 0
+    for spec in oracle_trials(10000, 41):
+        led, eng, ref = _replay_on_engine(spec)
+        before = len(build_calls)
+        _, shortcut = freeze_like_traced(led, eng, ref, led.log.resolve(ref).sender, GOVERNANCE)
+        assert len(build_calls) - before == (0 if shortcut else 1)
+        covered += shortcut
+    assert 1000 < covered < 9000  # both paths are well exercised
+
+
+def test_cyclic_economy_claims_freeze_as_a_full_trace_would(build_calls):
+    # twelve accounts trading both ways, with self-transfers and reversible
+    # burns; every third transfer is disputed, some twice, between rounds of
+    # traffic that must respect the frozen floors the claims leave behind
+    rng = random.Random(5)
+    led, eng = make_engine()
+    names = [f"a{i}" for i in range(12)]
+    for name in names:
+        led.mint(name, 200, block=1)
+    refs = []
+    covered = cancelled = 0
+    for block in range(2, 4):
+        for _ in range(150):
+            sender = rng.choice(names)
+            acct = led.account(sender)
+            if acct.available and rng.random() < 0.05:
+                led.burn(sender, rng.randint(1, acct.available), block, BurnSource.REVERSIBLE)
+            elif acct.available and rng.random() < 0.7:
+                refs.append(led.rtransfer(sender, rng.choice(names),
+                                          rng.randint(1, acct.available), block))
+            elif acct.nonreversible:
+                refs.append(led.transfer(sender, rng.choice(names),
+                                         rng.randint(1, min(acct.nonreversible, 40)), block))
+        disputed = refs[::3]
+        rng.shuffle(disputed)
+        for ref in disputed + disputed[:10]:
+            graph = build_graph(led.log, ref, led.log.next_seq)
+            edges = len(graph.edges)
+            cancelled += edges - len(eliminate_cycles(graph).edges)
+            covered += freeze_like_traced(led, eng, ref, ref.sender)[1]
+    assert len(build_calls) == len(eng.claims) - covered
+    assert 20 < covered < len(eng.claims) - 20
+    assert cancelled > 0
+    assert any(claim.plan.demand == 0 for claim in eng.claims.values())
+
+
+def test_balance_equal_to_demand_takes_the_shortcut(no_trace):
+    led, eng = make_engine()
+    led.mint("x", 30, block=1)
+    ref = seed_theft(led)
+    led.transfer("x", "a0", 30, block=1)
+    led.rtransfer("a0", "a1", 30, block=2)
+    plan, covered = freeze_like_traced(led, eng, ref, "v")
+    assert covered and plan.to_freeze == {"a0": 50}
+    assert led.account("a1").frozen == 0
+
+
+def test_balance_one_below_demand_traces(build_calls):
+    led, eng = make_engine()
+    led.mint("x", 30, block=1)
+    ref = seed_theft(led)
+    led.transfer("x", "a0", 30, block=1)
+    hop = led.rtransfer("a0", "a1", 31, block=2)
+    plan, covered = freeze_like_traced(led, eng, ref, "v")
+    assert not covered and len(build_calls) == 1
+    assert {a: n for a, n in plan.to_freeze.items() if n} == {"a0": 49, "a1": 1}
+    assert led.log.resolve(hop).amount == 30
+
+
+def test_zero_demand_redispute_takes_the_shortcut(monkeypatch):
+    led, eng = make_engine()
+    ref = seed_theft(led)
+    hop = led.rtransfer("a0", "a1", 20, block=2)
+    led.rtransfer("a1", "a2", 10, block=2)
+    freeze_like_traced(led, eng, ref, "v")
+    assert led.log.resolve(hop).amount == 0
+    monkeypatch.setattr(freeze, "build_graph", None)  # any trace would fail
+    plan, covered = freeze_like_traced(led, eng, hop, "a0")
+    assert covered and plan.demand == 0 and plan.to_freeze == {"a1": 0}
+
+
+def test_root_with_burns_and_a_cycle_takes_the_shortcut(no_trace):
+    led, eng = make_engine()
+    led.mint("x", 40, block=1)
+    ref = seed_theft(led)
+    led.transfer("x", "a0", 40, block=1)
+    led.burn("a0", 10, 2, BurnSource.REVERSIBLE)
+    led.rtransfer("a0", "a1", 25, block=2)
+    led.rtransfer("a1", "a0", 5, block=2)
+    graph = build_graph(led.log, ref, led.log.next_seq)
+    assert graph.burned_at == {"a0": 10}
+    assert {(e.src, e.dst) for e in graph.edges} == {("a0", "a1"), ("a1", "a0")}
+    plan, covered = freeze_like_traced(led, eng, ref, "v")
+    assert covered and plan.to_freeze == {"a0": 50}
+    assert plan.absorbed_by_burn == {"a0": 0} and plan.residual == {"a0": 0}

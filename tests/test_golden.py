@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import random
 from pathlib import Path
 
 import pytest
 
 from revtok.cli import main as cli_main
 from revtok.freeze import build_graph, eliminate_cycles
-from revtok.oracle import GOVERNANCE, SHAPES, _replay_on_engine, generate_trial
+from revtok.oracle import GOVERNANCE, _replay_on_engine
+
+from conftest import oracle_trials
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -70,11 +71,8 @@ def test_oracle_report_is_byte_identical(tmp_path):
 def trial_digest(trials: int, seed: int) -> str:
     """Hash every trial's traced graph and freeze plan, in the order
     `oracle_check(trials, seed, "mixed")` generates them."""
-    master = random.Random(seed)
     digest = hashlib.sha256()
-    for index in range(trials):
-        rng = random.Random(master.getrandbits(64))
-        spec = generate_trial(rng, SHAPES[index % len(SHAPES)], rng.random() < 0.3)
+    for spec in oracle_trials(trials, seed):
         ledger, engine, ref = _replay_on_engine(spec)
         victim = ledger.log.resolve(ref).sender
         graph = eliminate_cycles(build_graph(ledger.log, ref, ledger.log.next_seq))

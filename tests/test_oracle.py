@@ -4,6 +4,7 @@ import random
 
 from revtok.oracle import (
     SHAPES,
+    _trace_raw,
     generate_trial,
     oracle_check,
     oracle_report_json,
@@ -34,7 +35,7 @@ def test_layered_trials_match_reference_map():
     seen_nonempty = 0
     for _ in range(50):
         spec = generate_trial(rng, "layered", burns=False)
-        ref_map = reference_freeze(spec)
+        ref_map = reference_freeze(spec, _trace_raw(spec))
         assert run_and_check(spec) == []
         if any(ref_map.values()):
             seen_nonempty += 1
