@@ -17,7 +17,7 @@ from revtok import (
 )
 from revtok import freeze
 from revtok.freeze import build_graph, calc_freeze, eliminate_cycles
-from revtok.oracle import GOVERNANCE, _replay_on_engine
+from revtok.oracle import _replay_on_engine
 
 from conftest import GOV, make_engine, make_ledger, oracle_trials
 
@@ -216,11 +216,12 @@ def assert_same_freeze(plan, traced):
     assert plan.edges_touched == traced.edges_touched
 
 
-def freeze_like_traced(led, eng, ref, victim, caller=GOV):
+def freeze_like_traced(led, eng, ref, victim):
     """Execute a freeze and check its plan against a full trace taken just before."""
-    covered = led.available_rbalance(led.log.resolve(ref).to) >= led.log.resolve(ref).amount
+    record = led.log.resolve(ref)
+    covered = led.available_rbalance(record.to) >= record.amount
     traced = traced_plan(led, ref)
-    plan = eng.claims[eng.execute_freeze(ref, victim, led.current_block, caller)].plan
+    plan = eng.claims[eng.execute_freeze(ref, victim, led.current_block, GOV)].plan
     assert_same_freeze(plan, traced)
     if covered:
         assert (plan.nodes_visited, plan.edge_count) == (1, 0)
@@ -254,7 +255,7 @@ def test_oracle_trials_freeze_as_a_full_trace_would(build_calls):
     for spec in oracle_trials(10000, 41):
         led, eng, ref = _replay_on_engine(spec)
         before = len(build_calls)
-        _, shortcut = freeze_like_traced(led, eng, ref, led.log.resolve(ref).sender, GOVERNANCE)
+        _, shortcut = freeze_like_traced(led, eng, ref, led.log.resolve(ref).sender)
         assert len(build_calls) - before == (0 if shortcut else 1)
         covered += shortcut
     assert 1000 < covered < 9000  # both paths are well exercised
@@ -319,16 +320,16 @@ def test_balance_one_below_demand_traces(build_calls):
     assert led.log.resolve(hop).amount == 30
 
 
-def test_zero_demand_redispute_takes_the_shortcut(monkeypatch):
+def test_zero_demand_redispute_takes_the_shortcut(build_calls):
     led, eng = make_engine()
     ref = seed_theft(led)
     hop = led.rtransfer("a0", "a1", 20, block=2)
     led.rtransfer("a1", "a2", 10, block=2)
     freeze_like_traced(led, eng, ref, "v")
-    assert led.log.resolve(hop).amount == 0
-    monkeypatch.setattr(freeze, "build_graph", None)  # any trace would fail
+    assert led.log.resolve(hop).amount == 0 and len(build_calls) == 1
     plan, covered = freeze_like_traced(led, eng, hop, "a0")
     assert covered and plan.demand == 0 and plan.to_freeze == {"a1": 0}
+    assert len(build_calls) == 1
 
 
 def test_root_with_burns_and_a_cycle_takes_the_shortcut(no_trace):
