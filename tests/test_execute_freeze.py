@@ -16,10 +16,11 @@ from revtok import (
     WindowElapsedError,
 )
 from revtok import freeze
-from revtok.freeze import build_graph, calc_freeze, eliminate_cycles
+from revtok.freeze import build_graph, eliminate_cycles
 from revtok.oracle import _replay_on_engine
 
 from conftest import GOV, make_engine, make_ledger, oracle_trials
+from test_calc_freeze import plan_for
 
 
 def seed_theft(led, amount=50, stolen_to="a0"):
@@ -199,12 +200,6 @@ def test_claim_ids_are_deterministic_and_unique():
 # -- a claim the disputed recipient covers traces no graph ----------------------
 
 
-def traced_plan(led, ref):
-    """The plan of a full trace and cycle cancel, on the ledger as it stands."""
-    graph = eliminate_cycles(build_graph(led.log, ref, led.log.next_seq))
-    return calc_freeze(graph, led.log.resolve(ref).amount, led.available_rbalance)
-
-
 def assert_same_freeze(plan, traced):
     """Every nonzero per-node amount, every per-edge row and the touch count agree."""
     for name in ("to_freeze", "obligations", "absorbed_by_burn", "residual"):
@@ -220,7 +215,7 @@ def freeze_like_traced(led, eng, ref, victim):
     """Execute a freeze and check its plan against a full trace taken just before."""
     record = led.log.resolve(ref)
     covered = led.available_rbalance(record.to) >= record.amount
-    traced = traced_plan(led, ref)
+    traced = plan_for(led, ref)
     plan = eng.claims[eng.execute_freeze(ref, victim, led.current_block, GOV)].plan
     assert_same_freeze(plan, traced)
     if covered:
