@@ -28,11 +28,10 @@ from .errors import (
     NotAffectedPartyError,
     NotGovernanceError,
     UnknownClaimError,
-    UnknownSpenditureError,
     WindowElapsedError,
 )
 from .ledger import Address, TokenLedger
-from .spendlog import SpendLog, SpendRef
+from .spendlog import SpendLog, SpendRecord, SpendRef
 
 
 @dataclass
@@ -41,13 +40,15 @@ class GraphEdge:
 
     `value` starts as the record's remaining amount and may be discounted by
     cycle cancellation; zero-valued edges are legal and stay in the graph.
+    `record` is the spend record itself, which a freeze debits and a
+    rejection restores in place.
     """
 
     src: Address
     dst: Address
     value: int
     seq: int
-    ref: SpendRef
+    record: SpendRecord
 
 
 @dataclass
@@ -61,7 +62,6 @@ class TransferGraph:
     """
 
     root: Address
-    root_arrival_seq: int
     out: dict[Address, list[GraphEdge]] = field(default_factory=dict)
     burned_at: dict[Address, int] = field(default_factory=dict)
 
@@ -90,7 +90,7 @@ def build_graph(log: SpendLog, disputed: SpendRef, freeze_seq: int) -> TransferG
     rec = log.resolve(disputed)
     if rec.to is None:
         raise InvalidDisputeError("a burn record cannot be disputed")
-    graph = TransferGraph(root=rec.to, root_arrival_seq=rec.seq)
+    graph = TransferGraph(root=rec.to)
     arrival: dict[Address, int] = {rec.to: rec.seq}
     heap: list[tuple[int, Address]] = [(rec.seq, rec.to)]
     settled: set[Address] = set()
@@ -100,11 +100,11 @@ def build_graph(log: SpendLog, disputed: SpendRef, freeze_seq: int) -> TransferG
             continue
         settled.add(node)
         edges = graph.out[node] = []
-        for ref, out in log.outgoing_between(node, at, freeze_seq):
+        for _, out in log.outgoing_between(node, at, freeze_seq):
             if out.to is None:
                 graph.burned_at[node] = graph.burned_at.get(node, 0) + out.amount
                 continue
-            edges.append(GraphEdge(node, out.to, out.amount, out.seq, ref))
+            edges.append(GraphEdge(node, out.to, out.amount, out.seq, out))
             if out.to not in settled and out.seq < arrival.get(out.to, freeze_seq):
                 arrival[out.to] = out.seq
                 heapq.heappush(heap, (out.seq, out.to))
@@ -166,7 +166,8 @@ class FreezePlan:
     locked there, and obligations maps each such node to the total obligation
     that reached it.  per_edge pairs every edge the pass touched, in pass
     order, with the obligation it carried (possibly 0); the edges are the
-    traced graph's own.  absorbed_by_burn and residual account for obligation
+    traced graph's own, each holding the spend record that obligation is
+    debited from.  absorbed_by_burn and residual account for obligation
     that no freeze could cover: coins burned downstream, and obligation
     stranded where outgoing capacity ran out, so each node's obligation equals
     its frozen, absorbed and residual amounts plus what its per_edge rows
@@ -313,8 +314,8 @@ class FreezeEngine:
         The demand is the record's remaining amount, so coins already claimed
         through this record cannot be frozen a second time.  Applying the plan
         raises every to_freeze account's frozen total, subtracts each per-edge
-        obligation from its record, and files a claim that keeps the plan for
-        later settlement.
+        obligation from the record its edge holds, and files a claim that
+        keeps the plan for later settlement.
 
         Funds freeze at the disputed recipient first, so the transfer graph is
         built and cycle-cancelled only when the recipient's available
@@ -333,7 +334,7 @@ class FreezeEngine:
                 f"record from block {record.block} is outside the window at {current_block}"
             )
         if self.ledger.available_rbalance(record.to) >= record.amount:
-            graph = TransferGraph(record.to, record.seq, {record.to: []})
+            graph = TransferGraph(record.to, {record.to: []})
         else:
             graph = eliminate_cycles(
                 build_graph(self.ledger.log, disputed, self.ledger.log.next_seq)
@@ -353,9 +354,8 @@ class FreezeEngine:
                 assert acct.frozen <= acct.reversible
         for edge, obligation in plan.per_edge:
             if obligation > 0:
-                rec = self.ledger.log.resolve(edge.ref)
-                rec.amount -= obligation
-                assert rec.amount >= 0
+                edge.record.amount -= obligation
+                assert edge.record.amount >= 0
         claim = Claim(claim_id, victim, disputed, ClaimStatus.FROZEN, plan)
         self.claims[claim_id] = claim
         self.claim_order.append(claim_id)
@@ -393,8 +393,10 @@ class FreezeEngine:
     def reject_reverse(self, claim_id: str, caller: Address) -> None:
         """Release the claim's frozen amounts and restore its record debits.
 
-        Restoration is skipped for refs whose bucket has been cleaned in the
-        meantime; the coins matured and there is nothing left to restore to.
+        Each debit goes back onto the record its edge holds.  If that record's
+        bucket was cleaned in the meantime the restore is inert: clean matured
+        the record's remaining amount when it deleted it, and no ref or
+        outgoing window reaches the record any more.
         """
         self._require_governance(caller)
         claim = self._claim(claim_id)
@@ -407,10 +409,6 @@ class FreezeEngine:
                 assert acct.frozen >= 0
         for edge, obligation in claim.plan.per_edge:
             if obligation > 0:
-                try:
-                    rec = self.ledger.log.resolve(edge.ref)
-                except UnknownSpenditureError:
-                    continue
-                rec.amount += obligation
-                assert rec.amount <= rec.original_amount
+                edge.record.amount += obligation
+                assert edge.record.amount <= edge.record.original_amount
         claim.status = ClaimStatus.REJECTED

@@ -168,7 +168,6 @@ class Case:
     stake: int  # remaining escrowed stake
     tip: int
     quorum: list[Address]
-    n: int
     phase: Phase = Phase.FREEZE_VOTE
     round: VoteRound = field(default_factory=VoteRound)
     deadline_block: int = 0
@@ -313,7 +312,6 @@ class Governance:
             stake=stake,
             tip=tip,
             quorum=quorum,
-            n=n,
             deadline_block=self.ledger.current_block + self.policy.reveal_deadline,
             evidence=evidence,
         )
@@ -370,7 +368,7 @@ class Governance:
         approvals = case.round.approvals()
         threshold = self.policy.threshold(
             "freeze_threshold" if case.phase is Phase.FREEZE_VOTE else "trial_threshold",
-            case.n,
+            len(case.quorum),
         )
         approved = approvals >= threshold
         outcome = TallyOutcome(

@@ -12,7 +12,7 @@ from revtok import (
     Governance,
     JudgePool,
     NftRegistry,
-    SpendRef,
+    SpendRecord,
     TokenLedger,
     TransferGraph,
     Vote,
@@ -82,13 +82,13 @@ def random_dag(nodes: int, edges: int, seed: int) -> tuple[TransferGraph, dict[s
         j = rng.randint(i + 1, nodes - 1)
         raw.append((i, j, rng.randint(1, 100)))
     raw.sort(key=lambda e: e[0])
-    graph = TransferGraph(root=names[0], root_arrival_seq=0, out={n: [] for n in names})
+    graph = TransferGraph(root=names[0], out={n: [] for n in names})
     # One source's edges must sit newest-first: assign seqs ascending, then
     # reverse each source's list.
     for seq, (src_i, dst_i, value) in enumerate(raw, start=1):
-        graph.out[names[src_i]].append(
-            GraphEdge(names[src_i], names[dst_i], value, seq, SpendRef(0, names[src_i], 0))
-        )
+        src, dst = names[src_i], names[dst_i]
+        record = SpendRecord(src, dst, value, value, 0, seq)
+        graph.out[src].append(GraphEdge(src, dst, value, seq, record))
     for out in graph.out.values():
         out.reverse()
     return graph, {name: 0 for name in names}

@@ -15,7 +15,7 @@ from revtok import (
     UnknownClaimError,
     WindowElapsedError,
 )
-from revtok import freeze
+from revtok import SpendLog, freeze
 from revtok.freeze import build_graph, eliminate_cycles
 from revtok.oracle import _replay_on_engine
 
@@ -73,7 +73,8 @@ def test_freeze_applies_plan_and_debits():
     claim = eng.claims[cid]
     assert claim.status is ClaimStatus.FROZEN
     assert {a: n for a, n in claim.plan.to_freeze.items() if n} == {"a0": 30, "a1": 20}
-    assert [(e.ref, ob) for e, ob in claim.plan.per_edge if ob] == [(hop, 20)]
+    [(edge, obligation)] = [(e, ob) for e, ob in claim.plan.per_edge if ob]
+    assert edge.record is led.log.resolve(hop) and obligation == 20
 
 
 def test_redispute_while_pending_freezes_nothing():
@@ -163,11 +164,52 @@ def test_reject_skips_refs_cleaned_away():
     ref = led.transfer("v", "a0", 50, block=2)
     hop = led.rtransfer("a0", "a1", 20, block=3)
     cid = eng.execute_freeze(ref, "v", 3, caller=GOV)
+    led.mint("x", 5, block=40)
+    led.transfer("x", "y", 5, block=40)  # a live record the restore must miss
     # the disputed bucket ages out and is swept while the claim is pending
     led.clean(0, ["v", "a0"], block=50)
+    records = [(r, rec.amount) for r, rec in led.log.all_records()]
+    balances = {a: (s.reversible, s.nonreversible) for a, s in led.accounts.items()}
     eng.reject_reverse(cid, caller=GOV)
-    assert led.account("a0").frozen == 0
-    assert led.account("a1").frozen == 0
+    # the hop's debit goes back onto its popped record, which nothing reads
+    assert [(r, rec.amount) for r, rec in led.log.all_records()] == records
+    assert {a: (s.reversible, s.nonreversible) for a, s in led.accounts.items()} == balances
+    assert all(s.frozen == 0 for s in led.accounts.values())
+
+
+@pytest.fixture
+def resolve_calls(monkeypatch):
+    """Record every ref the spend log is asked to resolve."""
+    calls = []
+    resolve = SpendLog.resolve
+
+    def counting(self, ref):
+        calls.append(ref)
+        return resolve(self, ref)
+
+    monkeypatch.setattr(SpendLog, "resolve", counting)
+    return calls
+
+
+def test_claims_debit_and_restore_without_resolving(resolve_calls):
+    led, eng = make_engine()
+    ref = seed_theft(led)
+    hops = [led.rtransfer("a0", "a1", 30, block=2), led.rtransfer("a1", "a2", 25, block=2)]
+    led.mint("x", 40, block=2)
+    sibling = led.transfer("x", "b0", 40, block=2)
+    led.rtransfer("b0", "b1", 40, block=2)
+    sibling_id = eng.execute_freeze(sibling, "x", 2, caller=GOV)
+    resolve_calls.clear()
+    cid = eng.execute_freeze(ref, "v", 2, caller=GOV)
+    # the disputed ref, in execute_freeze and again in build_graph; the two
+    # debited hops are reached through their edges' records
+    assert resolve_calls == [ref, ref]
+    assert [ob for _, ob in eng.claims[cid].plan.per_edge if ob] == [30, 25]
+    resolve_calls.clear()
+    eng.reject_reverse(cid, caller=GOV)
+    assert eng.reverse(sibling_id, caller=GOV) == 40
+    assert resolve_calls == []
+    assert [led.log.resolve(hop).amount for hop in hops] == [30, 25]
 
 
 def test_failed_freeze_leaves_no_trace():
@@ -205,7 +247,7 @@ def assert_same_freeze(plan, traced):
     for name in ("to_freeze", "obligations", "absorbed_by_burn", "residual"):
         nonzero = [{n: v for n, v in getattr(p, name).items() if v} for p in (plan, traced)]
         assert nonzero[0] == nonzero[1], name
-    rows = [[(e.ref, e.src, e.dst, e.value, e.seq, ob) for e, ob in p.per_edge]
+    rows = [[(e.record, e.src, e.dst, e.value, e.seq, ob) for e, ob in p.per_edge]
             for p in (plan, traced)]
     assert rows[0] == rows[1]
     assert plan.edges_touched == traced.edges_touched

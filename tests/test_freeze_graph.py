@@ -98,7 +98,7 @@ def test_edge_value_is_current_remaining_amount(ledger):
 
 
 def edge(src, dst, value, seq):
-    return GraphEdge(src=src, dst=dst, value=value, seq=seq, ref=None)
+    return GraphEdge(src=src, dst=dst, value=value, seq=seq, record=None)
 
 
 def manual_graph(root, edges):
@@ -106,7 +106,7 @@ def manual_graph(root, edges):
     for e in edges:
         out.setdefault(e.src, []).append(e)
         out.setdefault(e.dst, [])
-    return TransferGraph(root=root, root_arrival_seq=-1, out=out, burned_at={})
+    return TransferGraph(root=root, out=out, burned_at={})
 
 
 def has_cycle(edges):

@@ -76,6 +76,7 @@ def trial_digest(trials: int, seed: int) -> str:
         ledger, engine, ref = _replay_on_engine(spec)
         victim = ledger.log.resolve(ref).sender
         graph = eliminate_cycles(build_graph(ledger.log, ref, ledger.log.next_seq))
+        ref_at = {rec.seq: r for r, rec in ledger.log.all_records()}
         plan = engine.claims[
             engine.execute_freeze(ref, victim, ledger.current_block, GOVERNANCE)
         ].plan
@@ -86,8 +87,8 @@ def trial_digest(trials: int, seed: int) -> str:
             sorted(plan.absorbed_by_burn.items()),
             sorted(plan.residual.items()),
             [
-                (e.ref.epoch, e.ref.sender, e.ref.index, e.src, e.dst, e.seq,
-                 e.value, obligation)
+                (ref_at[e.seq].epoch, ref_at[e.seq].sender, ref_at[e.seq].index,
+                 e.src, e.dst, e.seq, e.value, obligation)
                 for e, obligation in plan.per_edge
             ],
             plan.nodes_visited,

@@ -127,7 +127,7 @@ def test_submit_escrows_stake_and_tip():
     assert led.account("v").nonreversible == 0
     assert led.account("escrow").nonreversible == 8
     case = gov.cases[cid]
-    assert (case.stake, case.tip, case.defendant, case.n) == (5, 3, "a0", 1)
+    assert (case.stake, case.tip, case.defendant, len(case.quorum)) == (5, 3, "a0", 1)
     assert case.phase is Phase.FREEZE_VOTE
     assert case.quorum == judges
 

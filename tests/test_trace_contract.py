@@ -3,7 +3,7 @@
 The benchmark's traced run (`perfbench/layers.py`) reads its freeze counters
 off the graph objects the engine passes through `build_graph`,
 `eliminate_cycles` and `calc_freeze`.  This pins that those counters still
-equal what the graph itself says.
+equal what the graph and the freeze plan say.
 """
 
 from __future__ import annotations
@@ -36,10 +36,13 @@ def test_tracer_counts_match_the_graph():
 
     tracer = layers.Tracer()
     with tracer.installed():
-        eng.execute_freeze(ref, "v", 4, caller=GOV)
+        plan = eng.claims[eng.execute_freeze(ref, "v", 4, caller=GOV)].plan
     metrics = tracer.metrics()
     assert metrics["freeze.graph_nodes"] == nodes == 4
     assert metrics["freeze.graph_edges"] == edges
     assert metrics["freeze.cycle_rounds"] == rounds
     assert metrics["freeze.edges_after_cancel"] == edges - rounds
+    # the tracer derives edge_iterations from the graph; the plan counts it
+    assert metrics["freeze.edge_iterations"] == plan.edge_iterations
+    assert metrics["freeze.edges_touched"] == plan.edges_touched
     assert tracer.bound_violations == []
