@@ -34,7 +34,7 @@ from .ledger import Address, TokenLedger
 from .spendlog import SpendLog, SpendRecord, SpendRef
 
 
-@dataclass
+@dataclass(slots=True)
 class GraphEdge:
     """One spend record viewed as a graph edge.
 
@@ -74,20 +74,20 @@ class TransferGraph:
         return [e for edges in self.out.values() for e in edges]
 
 
-def build_graph(log: SpendLog, disputed: SpendRef, freeze_seq: int) -> TransferGraph:
-    """Trace the disputed funds through the spend log.
+def build_graph(log: SpendLog, rec: SpendRecord, freeze_seq: int) -> TransferGraph:
+    """Trace the funds of the disputed record `rec` through the spend log.
 
-    An account enters the graph when some increasing-seq path from the
-    disputed transfer reaches it; its outgoing records strictly between that
-    first arrival and `freeze_seq` become edges.  Burn records in the same
-    span accumulate into burned_at instead, since burned coins can absorb
-    obligation but cannot carry it anywhere.
+    The caller has already resolved the disputed ref to `rec`, and the graph
+    is rooted at its recipient.  An account enters the graph when some
+    increasing-seq path from the disputed transfer reaches it; its outgoing
+    records strictly between that first arrival and `freeze_seq` become edges.
+    Burn records in the same span accumulate into burned_at instead, since
+    burned coins can absorb obligation but cannot carry it anywhere.
 
     Earliest arrivals are settled in ascending seq order (a heap of
     (arrival seq, account)), so each account's outgoing window is read exactly
     once.
     """
-    rec = log.resolve(disputed)
     if rec.to is None:
         raise InvalidDisputeError("a burn record cannot be disputed")
     graph = TransferGraph(root=rec.to)
@@ -100,7 +100,7 @@ def build_graph(log: SpendLog, disputed: SpendRef, freeze_seq: int) -> TransferG
             continue
         settled.add(node)
         edges = graph.out[node] = []
-        for _, out in log.outgoing_between(node, at, freeze_seq):
+        for out in log.outgoing_between(node, at, freeze_seq):
             if out.to is None:
                 graph.burned_at[node] = graph.burned_at.get(node, 0) + out.amount
                 continue
@@ -337,7 +337,7 @@ class FreezeEngine:
             graph = TransferGraph(record.to, {record.to: []})
         else:
             graph = eliminate_cycles(
-                build_graph(self.ledger.log, disputed, self.ledger.log.next_seq)
+                build_graph(self.ledger.log, record, self.ledger.log.next_seq)
             )
         plan = calc_freeze(graph, record.amount, self.ledger.available_rbalance)
         claim_id = hashlib.sha256(

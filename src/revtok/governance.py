@@ -184,14 +184,10 @@ class Case:
 @dataclass
 class TallyOutcome:
     case_id: int
-    phase_before: Phase
     phase_after: Phase
     reveals: int
     approvals: int
     fees_paid: int
-    burned: int = 0
-    returned: int = 0
-    paid_defendant: int = 0
 
 
 class JudgePool:
@@ -214,9 +210,6 @@ class JudgePool:
 
     def remove(self, judge: Address) -> None:
         self.judges.remove(judge)
-
-    def __len__(self) -> int:
-        return len(self.judges)
 
 
 class Governance:
@@ -371,9 +364,7 @@ class Governance:
             len(case.quorum),
         )
         approved = approvals >= threshold
-        outcome = TallyOutcome(
-            case_id, case.phase, case.phase, len(reveals), approvals, 0
-        )
+        outcome = TallyOutcome(case_id, case.phase, len(reveals), approvals, 0)
 
         if case.phase is Phase.FREEZE_VOTE:
             froze = False
@@ -404,9 +395,6 @@ class Governance:
             case.deadline_block = block + self.policy.reveal_deadline
 
         outcome.phase_after = case.phase
-        outcome.burned = case.burned
-        outcome.returned = case.returned
-        outcome.paid_defendant = case.paid_defendant
         return outcome
 
     def _try_freeze(self, case: Case, block: int) -> bool:

@@ -6,8 +6,10 @@ append-only: the `amount` field may be decremented by freezes and restored by
 rejected claims, but records are only ever deleted a whole bucket at a time,
 once every record in the bucket has outlived the dispute window.
 
-A record is addressed by SpendRef(epoch, sender, index).  After a bucket is
-cleaned, refs into it dangle and resolve() raises UnknownSpenditureError.
+A record is addressed by SpendRef(epoch, sender, index), which the log derives
+from the record (its block's epoch, its sender, the index it carries) and
+never stores.  After a bucket is cleaned, refs into it dangle and resolve()
+raises UnknownSpenditureError.
 
 Each record also carries a globally unique, strictly increasing sequence
 number.  The sequence order is the engine's notion of time within a block and
@@ -18,6 +20,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import UnknownSpenditureError
 
@@ -25,6 +29,9 @@ Address = str
 
 DEFAULT_EPOCH_LENGTH = 1_000
 DEFAULT_DISPUTE_WINDOW = 24_000
+
+_block = attrgetter("block")
+_seq = attrgetter("seq")
 
 
 @dataclass(frozen=True)
@@ -44,8 +51,7 @@ class EpochConfig:
         return block // self.epoch_length
 
 
-@dataclass(frozen=True)
-class SpendRef:
+class SpendRef(NamedTuple):
     """Stable address of a spend record: (epoch, sender, index in bucket)."""
 
     epoch: int
@@ -53,13 +59,14 @@ class SpendRef:
     index: int
 
 
-@dataclass
+@dataclass(slots=True)
 class SpendRecord:
     """One outgoing spend.
 
     `to` is None for burns.  `amount` is the still-disputable remainder; it
     starts equal to `original_amount` and is decremented when a freeze passes
-    an obligation along this record.
+    an obligation along this record.  `index` is the record's place in its
+    (epoch, sender) bucket.
     """
 
     sender: Address
@@ -68,6 +75,7 @@ class SpendRecord:
     original_amount: int
     block: int
     seq: int
+    index: int = 0
 
 
 class SpendLog:
@@ -81,8 +89,8 @@ class SpendLog:
         self.config = config or EpochConfig()
         # The only record store: each sender's records in seq order.  Blocks
         # never decrease, so neither do a sender's epochs, and each bucket is
-        # one contiguous run of its sender's list, found by bisecting on epoch.
-        self._by_sender: dict[Address, list[tuple[SpendRef, SpendRecord]]] = {}
+        # one contiguous run of its sender's list, found by bisecting on block.
+        self._by_sender: dict[Address, list[SpendRecord]] = {}
         self._next_seq = 0
         self._last_block = 0
 
@@ -99,41 +107,41 @@ class SpendLog:
         """
         assert block >= self._last_block, "records must arrive in block order"
         self._last_block = block
-        epoch = self.config.epoch_of(block)
-        rec = SpendRecord(sender, to, amount, amount, block, self._next_seq)
+        length = self.config.epoch_length
+        epoch = block // length
+        records = self._by_sender.setdefault(sender, [])
+        index = records[-1].index + 1 if records and records[-1].block // length == epoch else 0
+        records.append(SpendRecord(sender, to, amount, amount, block, self._next_seq, index))
         self._next_seq += 1
-        pairs = self._by_sender.setdefault(sender, [])
-        index = pairs[-1][0].index + 1 if pairs and pairs[-1][0].epoch == epoch else 0
-        ref = SpendRef(epoch, sender, index)
-        pairs.append((ref, rec))
-        return ref
+        return SpendRef(epoch, sender, index)
 
-    def _bucket(self, epoch: int, sender: Address) -> tuple[list, int, int]:
+    def _bucket(self, epoch: int, sender: Address) -> tuple[list[SpendRecord], int, int]:
         """The sender's list and the bounds [lo, hi) of the bucket's run in it."""
-        pairs = self._by_sender.get(sender, [])
-        lo = bisect.bisect_left(pairs, epoch, key=lambda pair: pair[0].epoch)
-        hi = bisect.bisect_right(pairs, epoch, lo, key=lambda pair: pair[0].epoch)
-        return pairs, lo, hi
+        records = self._by_sender.get(sender, [])
+        length = self.config.epoch_length
+        lo = bisect.bisect_left(records, epoch * length, key=_block)
+        hi = bisect.bisect_left(records, (epoch + 1) * length, lo, key=_block)
+        return records, lo, hi
 
     def resolve(self, ref: SpendRef) -> SpendRecord:
-        pairs, lo, hi = self._bucket(ref.epoch, ref.sender)
+        records, lo, hi = self._bucket(ref.epoch, ref.sender)
         if not 0 <= ref.index < hi - lo:
             raise UnknownSpenditureError(f"no record at {ref}")
-        return pairs[lo + ref.index][1]
+        return records[lo + ref.index]
 
     def outgoing_between(
         self, sender: Address, after_seq: int, before_seq: int
-    ) -> list[tuple[SpendRef, SpendRecord]]:
+    ) -> list[SpendRecord]:
         """Records of `sender` with after_seq < seq < before_seq, newest first.
 
         Cost is proportional to the size of the result (plus a bisect).
         """
-        pairs = self._by_sender.get(sender)
-        if not pairs:
+        records = self._by_sender.get(sender)
+        if not records:
             return []
-        lo = bisect.bisect_right(pairs, after_seq, key=lambda pair: pair[1].seq)
-        hi = bisect.bisect_left(pairs, before_seq, lo, key=lambda pair: pair[1].seq)
-        window = pairs[lo:hi]
+        lo = bisect.bisect_right(records, after_seq, key=_seq)
+        hi = bisect.bisect_left(records, before_seq, lo, key=_seq)
+        window = records[lo:hi]
         window.reverse()
         return window
 
@@ -146,10 +154,10 @@ class SpendLog:
         either, even with a window shorter than an epoch: its sender's next
         record would take the index, and so the ref, of a deleted one.
         """
-        pairs, lo, hi = self._bucket(epoch, sender)
+        records, lo, hi = self._bucket(epoch, sender)
         if lo == hi:
             return "empty"
-        if current_block - pairs[hi - 1][1].block <= self.config.dispute_window:
+        if current_block - records[hi - 1].block <= self.config.dispute_window:
             return "window-open"
         if self.config.epoch_of(current_block) <= epoch:
             return "epoch-open"
@@ -160,16 +168,17 @@ class SpendLog:
 
         Refs into the bucket dangle from this point on.
         """
-        pairs, lo, hi = self._bucket(epoch, sender)
-        records = [rec for _, rec in pairs[lo:hi]]
-        del pairs[lo:hi]
-        return records
+        records, lo, hi = self._bucket(epoch, sender)
+        popped = records[lo:hi]
+        del records[lo:hi]
+        return popped
 
     def all_records(self) -> list[tuple[SpendRef, SpendRecord]]:
-        """Every live record in seq order (test and report helper)."""
-        out = [pair for pairs in self._by_sender.values() for pair in pairs]
-        out.sort(key=lambda pair: pair[1].seq)
-        return out
+        """Every live record with its ref, in seq order (test and report helper)."""
+        out = [rec for records in self._by_sender.values() for rec in records]
+        out.sort(key=_seq)
+        length = self.config.epoch_length
+        return [(SpendRef(rec.block // length, rec.sender, rec.index), rec) for rec in out]
 
 
 @dataclass

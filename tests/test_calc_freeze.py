@@ -8,7 +8,7 @@ from conftest import make_ledger, random_dag
 
 
 def plan_for(ledger, ref, demand=None):
-    g = eliminate_cycles(build_graph(ledger.log, ref, ledger.log.next_seq))
+    g = eliminate_cycles(build_graph(ledger.log, ledger.log.resolve(ref), ledger.log.next_seq))
     if demand is None:
         demand = ledger.log.resolve(ref).amount
     return calc_freeze(g, demand, ledger.available_rbalance)
@@ -90,7 +90,7 @@ def test_residual_when_funds_left_before_dispute(ledger):
     ref = ledger.transfer("v", "a0", 10, block=1)
     cutoff = ledger.log.next_seq
     ledger.rtransfer("a0", "a1", 7, block=2)
-    g = build_graph(ledger.log, ref, cutoff)
+    g = build_graph(ledger.log, ledger.log.resolve(ref), cutoff)
     plan = calc_freeze(g, 10, ledger.available_rbalance)
     assert plan.to_freeze == {"a0": 3}
     assert plan.residual == {"a0": 7}

@@ -201,9 +201,9 @@ def test_claims_debit_and_restore_without_resolving(resolve_calls):
     sibling_id = eng.execute_freeze(sibling, "x", 2, caller=GOV)
     resolve_calls.clear()
     cid = eng.execute_freeze(ref, "v", 2, caller=GOV)
-    # the disputed ref, in execute_freeze and again in build_graph; the two
-    # debited hops are reached through their edges' records
-    assert resolve_calls == [ref, ref]
+    # the disputed ref, once in execute_freeze, which hands its record to
+    # build_graph; the two debited hops are reached through their edges' records
+    assert resolve_calls == [ref]
     assert [ob for _, ob in eng.claims[cid].plan.per_edge if ob] == [30, 25]
     resolve_calls.clear()
     eng.reject_reverse(cid, caller=GOV)
@@ -324,7 +324,7 @@ def test_cyclic_economy_claims_freeze_as_a_full_trace_would(build_calls):
         disputed = refs[::3]
         rng.shuffle(disputed)
         for ref in disputed + disputed[:10]:
-            graph = build_graph(led.log, ref, led.log.next_seq)
+            graph = build_graph(led.log, led.log.resolve(ref), led.log.next_seq)
             edges = len(graph.edges)
             cancelled += edges - len(eliminate_cycles(graph).edges)
             covered += freeze_like_traced(led, eng, ref, ref.sender)[1]
@@ -377,7 +377,7 @@ def test_root_with_burns_and_a_cycle_takes_the_shortcut(no_trace):
     led.burn("a0", 10, 2, BurnSource.REVERSIBLE)
     led.rtransfer("a0", "a1", 25, block=2)
     led.rtransfer("a1", "a0", 5, block=2)
-    graph = build_graph(led.log, ref, led.log.next_seq)
+    graph = build_graph(led.log, led.log.resolve(ref), led.log.next_seq)
     assert graph.burned_at == {"a0": 10}
     assert {(e.src, e.dst) for e in graph.edges} == {("a0", "a1"), ("a1", "a0")}
     plan, covered = freeze_like_traced(led, eng, ref, "v")

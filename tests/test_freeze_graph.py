@@ -21,7 +21,7 @@ from conftest import make_ledger
 
 
 def graph_of(ledger, ref):
-    return build_graph(ledger.log, ref, ledger.log.next_seq)
+    return build_graph(ledger.log, ledger.log.resolve(ref), ledger.log.next_seq)
 
 
 def test_root_only_graph(ledger):
@@ -52,7 +52,7 @@ def test_spends_after_freeze_seq_are_excluded(ledger):
     ref = ledger.transfer("v", "a0", 10, block=1)
     cutoff = ledger.log.next_seq
     ledger.rtransfer("a0", "a1", 10, block=2)
-    g = build_graph(ledger.log, ref, cutoff)
+    g = build_graph(ledger.log, ledger.log.resolve(ref), cutoff)
     assert g.edges == []
     full = graph_of(ledger, ref)
     assert len(full.edges) == 1
@@ -306,7 +306,7 @@ def test_matches_restart_reference_on_oracle_trials():
 
         def build():
             ledger, _, ref = _replay_on_engine(spec)
-            return build_graph(ledger.log, ref, ledger.log.next_seq)
+            return build_graph(ledger.log, ledger.log.resolve(ref), ledger.log.next_seq)
 
         rounds += assert_matches_reference(build)
     assert rounds > 500
@@ -326,6 +326,6 @@ def test_matches_restart_reference_on_a_ledger_economy():
             i = rng.randrange(len(names) - 1)
             j = rng.randrange(i) if i and rng.random() < 0.3 else rng.randrange(i + 1, len(names))
             ledger.transfer(names[i], names[j], rng.randint(1, 100), block=2 + t // 10)
-        return build_graph(ledger.log, disputed, ledger.log.next_seq)
+        return build_graph(ledger.log, ledger.log.resolve(disputed), ledger.log.next_seq)
 
     assert assert_matches_reference(build) > 1000

@@ -75,7 +75,9 @@ def trial_digest(trials: int, seed: int) -> str:
     for spec in oracle_trials(trials, seed):
         ledger, engine, ref = _replay_on_engine(spec)
         victim = ledger.log.resolve(ref).sender
-        graph = eliminate_cycles(build_graph(ledger.log, ref, ledger.log.next_seq))
+        graph = eliminate_cycles(
+            build_graph(ledger.log, ledger.log.resolve(ref), ledger.log.next_seq)
+        )
         ref_at = {rec.seq: r for r, rec in ledger.log.all_records()}
         plan = engine.claims[
             engine.execute_freeze(ref, victim, ledger.current_block, GOVERNANCE)

@@ -242,7 +242,7 @@ def test_dismissal_burns_remaining_stake_and_tips_defendant():
     outcome = vote_round(gov, cid, {judges[0]: Vote.REJECT})
     assert outcome.phase_after is Phase.CLOSED_DISMISSED
     assert outcome.fees_paid == 1
-    assert outcome.burned == 9
+    assert gov.cases[cid].burned == 9
     assert led.account(judges[0]).nonreversible == 1
     assert led.account("a0").nonreversible == 4        # tip to the accused
     assert led.account("a0").reversible == 100         # untouched
@@ -274,7 +274,7 @@ def test_trial_loss_compensates_defendant():
     vote_round(gov, cid, {judges[0]: Vote.APPROVE})
     out = vote_round(gov, cid, {judges[0]: Vote.REJECT}, salt_base=50)
     assert out.phase_after is Phase.CLOSED_REJECTED
-    assert out.paid_defendant == 8
+    assert gov.cases[cid].paid_defendant == 8
     a0 = led.account("a0")
     assert a0.reversible == 100                        # freeze released
     assert a0.frozen == 0

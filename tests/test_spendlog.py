@@ -59,8 +59,8 @@ def test_outgoing_between_bounds_are_strict_and_newest_first():
     refs = [log.record("a", "b", i, block=1) for i in range(6)]
     seqs = [log.resolve(r).seq for r in refs]
     got = log.outgoing_between("a", after_seq=seqs[1], before_seq=seqs[4])
-    assert [rec.seq for _, rec in got] == [seqs[3], seqs[2]]
-    assert [ref.index for ref, _ in got] == [3, 2]
+    assert [rec.seq for rec in got] == [seqs[3], seqs[2]]
+    assert [rec.index for rec in got] == [3, 2]
     assert log.outgoing_between("a", seqs[4], seqs[4]) == []
     assert log.outgoing_between("nobody", 0, 99) == []
 
@@ -94,7 +94,7 @@ def test_pop_bucket_removes_records_and_dangles_refs():
         log.resolve(ref0)
     assert log.resolve(keep).to == "d"
     # the per-sender index survives for records in other epochs
-    assert [rec.to for _, rec in log.outgoing_between("a", -1, 10**9)] == ["d"]
+    assert [rec.to for rec in log.outgoing_between("a", -1, 10**9)] == ["d"]
 
 
 def test_clean_skips_open_buckets_and_is_idempotent():
@@ -211,8 +211,8 @@ def test_random_log_roundtrip():
                 log.resolve(ref)
         for who in "abc":
             after, before = sorted(rng.randrange(-1, 502) for _ in range(2))
-            want = [pair for pair in reversed(mirror)
-                    if pair[0].sender == who and after < pair[1].seq < before]
+            want = [rec for ref, rec in reversed(mirror)
+                    if ref.sender == who and after < rec.seq < before]
             assert log.outgoing_between(who, after, before) == want
         newest = {(ref.epoch, ref.sender): rec.block for ref, rec in mirror}
         now = rng.randrange(block + 100)

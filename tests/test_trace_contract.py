@@ -29,7 +29,7 @@ def test_tracer_counts_match_the_graph():
     led.rtransfer("c", "a", 10, block=3)  # a -> b -> c -> a
     led.rtransfer("a", "d", 15, block=4)
 
-    graph = build_graph(led.log, ref, led.log.next_seq)
+    graph = build_graph(led.log, led.log.resolve(ref), led.log.next_seq)
     nodes, edges = len(graph.nodes), len(graph.edges)
     rounds = edges - len(eliminate_cycles(graph).edges)
     assert rounds > 0
