@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import ParseError
 from .oracle import oracle_check, oracle_report_json
-from .scenario import ScenarioRunner, parse_scenario
+from .scenario import run_scenario_text
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -52,11 +52,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"revtok: no such scenario: {path}", file=sys.stderr)
             return 2
         try:
-            ops = parse_scenario(path.read_text(encoding="utf-8"))
+            result = run_scenario_text(path.read_text(encoding="utf-8"), path.stem)
         except ParseError as err:
             print(f"revtok: {path}: {err}", file=sys.stderr)
             return 2
-        result = ScenarioRunner(path.stem).run(ops)
         _emit(result.to_json(), args.out)
         return result.exit_code
 

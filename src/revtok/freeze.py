@@ -306,25 +306,15 @@ class FreezeEngine:
             raise UnknownClaimError(claim_id)
         return claim
 
-    def execute_freeze(
-        self, disputed: SpendRef, victim: Address, current_block: int, caller: Address
-    ) -> str:
-        """Freeze the still-disputable remainder of `disputed` wherever it went.
+    def disputed_record(self, ref: SpendRef, victim: Address, current_block: int) -> SpendRecord:
+        """The record `ref` names, if `victim` may dispute it at `current_block`.
 
-        The demand is the record's remaining amount, so coins already claimed
-        through this record cannot be frozen a second time.  Applying the plan
-        raises every to_freeze account's frozen total, subtracts each per-edge
-        obligation from the record its edge holds, and files a claim that
-        keeps the plan for later settlement.
-
-        Funds freeze at the disputed recipient first, so the transfer graph is
-        built and cycle-cancelled only when the recipient's available
-        reversible balance falls short of the demand.  Otherwise the pass runs
-        on the recipient alone: no obligation could leave it either way, so
-        every nonzero amount and every record debit is the same.
+        Raises UnknownSpenditureError when the ref dangles (its bucket was
+        cleaned), InvalidDisputeError for a burn record, NotAffectedPartyError
+        when `victim` did not send it and WindowElapsedError once its dispute
+        window has closed.
         """
-        self._require_governance(caller)
-        record = self.ledger.log.resolve(disputed)
+        record = self.ledger.log.resolve(ref)
         if record.to is None:
             raise InvalidDisputeError("a burn record cannot be disputed")
         if victim != record.sender:
@@ -333,6 +323,28 @@ class FreezeEngine:
             raise WindowElapsedError(
                 f"record from block {record.block} is outside the window at {current_block}"
             )
+        return record
+
+    def execute_freeze(
+        self, disputed: SpendRef, victim: Address, current_block: int, caller: Address
+    ) -> str:
+        """Freeze the still-disputable remainder of `disputed` wherever it went.
+
+        `disputed_record` refuses an inadmissible dispute before anything
+        changes.  The demand is the record's remaining amount, so coins
+        already claimed through this record cannot be frozen a second time.
+        Applying the plan raises every to_freeze account's frozen total,
+        subtracts each per-edge obligation from the record its edge holds, and
+        files a claim that keeps the plan for later settlement.
+
+        Funds freeze at the disputed recipient first, so the transfer graph is
+        built and cycle-cancelled only when the recipient's available
+        reversible balance falls short of the demand.  Otherwise the pass runs
+        on the recipient alone: no obligation could leave it either way, so
+        every nonzero amount and every record debit is the same.
+        """
+        self._require_governance(caller)
+        record = self.disputed_record(disputed, victim, current_block)
         if self.ledger.available_rbalance(record.to) >= record.amount:
             graph = TransferGraph(record.to, {record.to: []})
         else:

@@ -26,15 +26,14 @@ from dataclasses import dataclass, field
 from .errors import (
     CommitMismatchError,
     DoubleVoteError,
+    FrozenAssetError,
     InsufficientStakeError,
     InvalidDisputeError,
-    NotAffectedPartyError,
     NotQuorumMemberError,
     PhaseError,
     PoolTooSmallError,
     UnknownCaseError,
     UnknownSpenditureError,
-    UnknownTokenError,
     WindowElapsedError,
 )
 from .freeze import FreezeEngine
@@ -183,10 +182,7 @@ class Case:
 
 @dataclass
 class TallyOutcome:
-    case_id: int
     phase_after: Phase
-    reveals: int
-    approvals: int
     fees_paid: int
 
 
@@ -252,42 +248,17 @@ class Governance:
         evidence: str = "",
         beacon_seed: bytes = b"\x00",
     ) -> int:
-        """Open a case.  The claimant must be the sender of the disputed
-        record (or the pre-transfer owner of the disputed NFT), the disputed
-        transfer must still be inside its dispute window, and stake+tip is
-        escrowed from their non-reversible balance up front."""
+        """Open a case.  The engine that owns the target decides whether the
+        claimant may dispute it now (`FreezeEngine.disputed_record`,
+        `NftRegistry.disputed_owner`) and raises if not; stake+tip is then
+        escrowed from the claimant's non-reversible balance up front."""
+        block = self.ledger.current_block
         if isinstance(target, FungibleTarget):
-            record = self.ledger.log.resolve(target.ref)
-            if record.to is None:
-                raise InvalidDisputeError("a burn record cannot be disputed")
-            if claimant != record.sender:
-                raise NotAffectedPartyError(
-                    f"{claimant} did not send the disputed record"
-                )
-            defendant = record.to
-            disputed_amount = record.amount
-            sent_at, window = record.block, self.ledger.config.dispute_window
+            record = self.freeze_engine.disputed_record(target.ref, claimant, block)
+            defendant, disputed_amount = record.to, record.amount
         else:
-            token = self.nft.tokens.get(target.token_id)
-            if token is None:
-                raise UnknownTokenError(f"token {target.token_id}")
-            prior, hop = token.record(target.index), token.record(target.index + 1)
-            if prior is None or hop is None:
-                raise InvalidDisputeError(
-                    f"token {target.token_id} has no transfer at index {target.index}"
-                )
-            if claimant != prior.owner:
-                raise NotAffectedPartyError(
-                    f"{claimant} did not own token {target.token_id} before the transfer"
-                )
-            defendant = hop.owner
+            defendant = self.nft.disputed_owner(target.token_id, target.index, claimant, block)
             disputed_amount = 0
-            sent_at, window = hop.block, self.nft.dispute_window
-        if self.ledger.current_block - sent_at > window:
-            raise WindowElapsedError(
-                f"transfer from block {sent_at} is outside the window at "
-                f"{self.ledger.current_block}"
-            )
         if stake < self.policy.min_stake:
             raise InsufficientStakeError(
                 f"stake {stake} is below the minimum {self.policy.min_stake}"
@@ -305,7 +276,7 @@ class Governance:
             stake=stake,
             tip=tip,
             quorum=quorum,
-            deadline_block=self.ledger.current_block + self.policy.reveal_deadline,
+            deadline_block=block + self.policy.reveal_deadline,
             evidence=evidence,
         )
         self.cases[case_id] = case
@@ -364,56 +335,43 @@ class Governance:
             len(case.quorum),
         )
         approved = approvals >= threshold
-        outcome = TallyOutcome(case_id, case.phase, len(reveals), approvals, 0)
 
         if case.phase is Phase.FREEZE_VOTE:
-            froze = False
-            if approved:
-                froze = self._try_freeze(case, block)
-            if froze:
-                case.phase = Phase.TRIAL
-            else:
-                case.phase = Phase.CLOSED_DISMISSED
-        else:  # Phase.TRIAL
-            if approved:
-                self._settle_reverse(case, block)
-                case.phase = Phase.CLOSED_REVERSED
-            else:
-                self._settle_reject(case, block)
-                case.phase = Phase.CLOSED_REJECTED
+            froze = approved and self._try_freeze(case, block)
+            case.phase = Phase.TRIAL if froze else Phase.CLOSED_DISMISSED
+        elif approved:
+            self._settle_reverse(case, block)
+            case.phase = Phase.CLOSED_REVERSED
+        else:
+            self._settle_reject(case, block)
+            case.phase = Phase.CLOSED_REJECTED
 
-        outcome.fees_paid = self._pay_judge_fees(case)
+        fees_paid = self._pay_judge_fees(case)
         self._record_conduct(case, approved)
-        if case.phase is Phase.CLOSED_DISMISSED:
-            self._settle_dismissed(case, block)
-        elif case.phase is Phase.CLOSED_REVERSED:
-            self._settle_won_stake(case)
-        elif case.phase is Phase.CLOSED_REJECTED:
-            self._settle_lost_stake(case)
-        else:  # the trial round opens fresh
+        if case.phase is Phase.TRIAL:
             case.round = VoteRound()
             case.deadline_block = block + self.policy.reveal_deadline
-
-        outcome.phase_after = case.phase
-        return outcome
+        else:
+            self._close(case, block)
+        return TallyOutcome(case.phase, fees_paid)
 
     def _try_freeze(self, case: Case, block: int) -> bool:
-        """Run the approved freeze; a freeze the engine can no longer perform
-        (the window elapsed while the vote ran, the disputed record's bucket
-        was cleaned since submission, the NFT is already frozen or its
-        disputed hop was cleaned away) dismisses the case rather than crashing
-        the tally."""
-        if isinstance(case.target, FungibleTarget):
-            try:
+        """Run the approved freeze and report whether it happened.  The
+        engine re-checks the dispute, so a freeze it refuses dismisses the
+        case rather than crashing the tally: the window elapsed while the vote
+        ran, the disputed bucket or hop was cleaned since submission, or an
+        earlier case already froze the NFT."""
+        target = case.target
+        try:
+            if isinstance(target, FungibleTarget):
                 case.claim_id = self.freeze_engine.execute_freeze(
-                    case.target.ref, case.claimant, block, self.identity
+                    target.ref, case.claimant, block, self.identity
                 )
-            except (WindowElapsedError, UnknownSpenditureError):
-                return False
-            return True
-        return self.nft.freeze(
-            case.target.token_id, case.target.index, block, self.identity
-        )
+            else:
+                self.nft.freeze(target.token_id, target.index, case.claimant, block, self.identity)
+        except (WindowElapsedError, UnknownSpenditureError, InvalidDisputeError, FrozenAssetError):
+            return False
+        return True
 
     def _settle_reverse(self, case: Case, block: int) -> None:
         if isinstance(case.target, FungibleTarget):
@@ -445,47 +403,39 @@ class Governance:
         for judge in case.quorum:
             vote = case.round.reveals.get(judge)
             if vote is None:
-                self.pool.strikes[judge] = self.pool.strikes.get(judge, 0) + 1
+                self.pool.strikes[judge] += 1
                 continue
-            self.pool.participated[judge] = self.pool.participated.get(judge, 0) + 1
+            self.pool.participated[judge] += 1
             if vote is losing_side and extreme:
-                self.pool.minority[judge] = self.pool.minority.get(judge, 0) + 1
+                self.pool.minority[judge] += 1
 
-    def _settle_dismissed(self, case: Case, block: int) -> None:
-        """Burn what is left of the stake and pay out the tip."""
+    def _close(self, case: Case, block: int) -> None:
+        """Empty a closed case's escrow.  A dismissal burns the rest of the
+        stake; otherwise it goes to the prevailing side (the claimant after a
+        reversal, the defendant, frozen for nothing, after a rejection).  The
+        tip goes to the prevailing side, the defendant on a dismissal, unless
+        the policy burns it."""
+        won = case.phase is Phase.CLOSED_REVERSED
+        prevailing = case.claimant if won else case.defendant
         if case.stake:
-            self.ledger.burn(self.escrow, case.stake, block)
-            case.burned = case.stake
+            if case.phase is Phase.CLOSED_DISMISSED:
+                self.ledger.burn(self.escrow, case.stake, block)
+                case.burned = case.stake
+            else:
+                self.ledger.move_nonreversible(self.escrow, prevailing, case.stake)
+                if won:
+                    case.returned = case.stake
+                else:
+                    case.paid_defendant = case.stake
             case.stake = 0
-        self._pay_tip(case, case.defendant)
-
-    def _settle_won_stake(self, case: Case) -> None:
-        """The claimant prevailed: return the unspent stake plus the tip."""
-        if case.stake:
-            self.ledger.move_nonreversible(self.escrow, case.claimant, case.stake)
-            case.returned = case.stake
-            case.stake = 0
-        self._pay_tip(case, case.claimant)
-
-    def _settle_lost_stake(self, case: Case) -> None:
-        """The claim was rejected at trial: the rest of the stake compensates
-        the defendant, who was frozen for nothing."""
-        if case.stake:
-            self.ledger.move_nonreversible(self.escrow, case.defendant, case.stake)
-            case.paid_defendant = case.stake
-            case.stake = 0
-        self._pay_tip(case, case.defendant)
-
-    def _pay_tip(self, case: Case, prevailing: Address) -> None:
-        if not case.tip:
-            return
-        if self.policy.tip_to == "burn":
-            self.ledger.burn(self.escrow, case.tip, self.ledger.current_block)
-            case.tip_paid_to = "(burned)"
-        else:
-            self.ledger.move_nonreversible(self.escrow, prevailing, case.tip)
-            case.tip_paid_to = prevailing
-        case.tip = 0
+        if case.tip:
+            if self.policy.tip_to == "burn":
+                self.ledger.burn(self.escrow, case.tip, block)
+                case.tip_paid_to = "(burned)"
+            else:
+                self.ledger.move_nonreversible(self.escrow, prevailing, case.tip)
+                case.tip_paid_to = prevailing
+            case.tip = 0
 
     # -- discipline --------------------------------------------------------------
 
@@ -497,9 +447,9 @@ class Governance:
         """
         removed = []
         for judge in list(self.pool.judges):
-            strikes = self.pool.strikes.get(judge, 0)
-            cases = self.pool.participated.get(judge, 0)
-            minority = self.pool.minority.get(judge, 0)
+            strikes = self.pool.strikes[judge]
+            cases = self.pool.participated[judge]
+            minority = self.pool.minority[judge]
             if strikes >= self.policy.strike_limit or (
                 cases >= self.policy.min_cases
                 and minority / cases >= self.policy.minority_ratio

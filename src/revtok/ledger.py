@@ -27,9 +27,7 @@ from .errors import (
     InsufficientNonReversibleError,
     InsufficientReversibleError,
 )
-from .spendlog import BucketCleanResult, CleanReport, EpochConfig, SpendLog, SpendRef
-
-Address = str
+from .spendlog import Address, BucketCleanResult, CleanReport, EpochConfig, SpendLog, SpendRef
 
 MAX_AMOUNT = (1 << 128) - 1
 

@@ -4,7 +4,9 @@ Each token keeps an append-only queue of (owner, block) records; the last
 entry is the current owner.  Record indexes are absolute: the i-th record ever
 appended keeps index i.  Disputing the transfer that made record i+1 the owner
 means freezing at index i: the token stops moving, and a reversal appends the
-index-i owner back on top of the queue instead of rewriting history.
+index-i owner back on top of the queue instead of rewriting history.  Only the
+index-i owner may dispute that transfer, and only inside the window
+(`disputed_owner`); `freeze` refuses whatever that rule refuses.
 
 Cleaning drops queue prefixes that can no longer be disputed, keeping every
 record whose successor is still inside the dispute window plus the current
@@ -20,13 +22,15 @@ from .errors import (
     BlockOrderError,
     DuplicateTokenError,
     FrozenAssetError,
+    InvalidDisputeError,
+    NotAffectedPartyError,
     NotFrozenError,
     NotGovernanceError,
     NotOwnerError,
     UnknownTokenError,
+    WindowElapsedError,
 )
-
-Address = str
+from .spendlog import Address
 
 
 @dataclass(frozen=True)
@@ -113,21 +117,43 @@ class NftRegistry:
             if current_block - token.owners[i + 1].block <= self.dispute_window
         ]
 
-    def freeze(self, token_id: int, index: int, current_block: int, caller: Address) -> bool:
-        """Freeze the token over the transfer that made record index+1 the
-        owner.  Returns False (rather than raising) when the window has
-        elapsed, the index does not name a kept transfer (it was never made
-        or was cleaned away), or the token is already frozen, so governance
-        can treat a hopeless vote as a dismissal."""
-        self._require_governance(caller)
+    def disputed_owner(
+        self, token_id: int, index: int, claimant: Address, current_block: int
+    ) -> Address:
+        """The owner the disputed hop index -> index+1 gave the token to, if
+        `claimant` may dispute it at `current_block`.
+
+        Raises UnknownTokenError for an unknown token, InvalidDisputeError
+        when the index does not name a kept transfer (it was never made or
+        was cleaned away), NotAffectedPartyError when `claimant` is not the
+        index-i owner and WindowElapsedError once the hop's window has closed.
+        """
         token = self._token(token_id)
-        hop = token.record(index + 1)
-        if token.frozen or token.record(index) is None or hop is None:
-            return False
+        prior, hop = token.record(index), token.record(index + 1)
+        if prior is None or hop is None:
+            raise InvalidDisputeError(f"token {token_id} has no transfer at index {index}")
+        if claimant != prior.owner:
+            raise NotAffectedPartyError(
+                f"{claimant} did not own token {token_id} before the transfer"
+            )
         if current_block - hop.block > self.dispute_window:
-            return False
+            raise WindowElapsedError(
+                f"transfer from block {hop.block} is outside the window at {current_block}"
+            )
+        return hop.owner
+
+    def freeze(
+        self, token_id: int, index: int, claimant: Address, current_block: int, caller: Address
+    ) -> None:
+        """Freeze the token over the transfer that made record index+1 the
+        owner.  Raises what `disputed_owner` raises, and FrozenAssetError
+        when the token is already frozen."""
+        self._require_governance(caller)
+        self.disputed_owner(token_id, index, claimant, current_block)
+        token = self.tokens[token_id]
+        if token.frozen:
+            raise FrozenAssetError(f"token {token_id} is already frozen")
         token.frozen = True
-        return True
 
     def reverse(self, token_id: int, index: int, current_block: int, caller: Address) -> None:
         """Return the token to the owner at record `index` by appending a

@@ -572,7 +572,4 @@ class ScenarioRunner:
 
 
 def run_scenario_text(text: str, name: str = "scenario") -> RunResult:
-    ops = parse_scenario(text)
-    runner = ScenarioRunner(name)
-    result = runner.run(ops)
-    return result
+    return ScenarioRunner(name).run(parse_scenario(text))

@@ -6,12 +6,14 @@ from collections import Counter
 import pytest
 
 from revtok import (
+    BurnSource,
     CommitMismatchError,
     DoubleVoteError,
     FeePolicy,
     FungibleTarget,
     InsufficientStakeError,
     InvalidDisputeError,
+    LedgerError,
     NftTarget,
     NotAffectedPartyError,
     NotQuorumMemberError,
@@ -19,6 +21,7 @@ from revtok import (
     PhaseError,
     PoolTooSmallError,
     UnknownCaseError,
+    UnknownSpenditureError,
     UnknownTokenError,
     Vote,
     WindowElapsedError,
@@ -176,6 +179,86 @@ def test_submit_nft_guards():
     assert list(gov.cases) == [cid]
 
 
+def _dangling_ref(led, nft):
+    ref = led.transfer("v", "a0", 10, block=1)
+    led.clean(0, ["v"], block=30)
+    return "v", FungibleTarget(ref)
+
+
+def _burn_record(led, nft):
+    led.transfer("v", "b", 10, block=1)
+    return "b", FungibleTarget(led.burn("b", 5, block=1, source=BurnSource.REVERSIBLE))
+
+
+def _not_the_sender(led, nft):
+    return "a0", FungibleTarget(led.transfer("v", "a0", 10, block=1))
+
+
+def _record_window_over(led, nft):
+    ref = led.transfer("v", "a0", 10, block=1)
+    led.advance_block(12)
+    return "v", FungibleTarget(ref)
+
+
+def _unknown_token(led, nft):
+    return "a", NftTarget(9, 0)
+
+
+def _no_such_hop(led, nft):
+    return "a", NftTarget(1, 1)
+
+
+def _hop_cleaned_away(led, nft):
+    nft.transfer(1, "c", block=20)
+    nft.clean([1], current_block=20)
+    led.advance_block(20)
+    return "a", NftTarget(1, 0)
+
+
+def _not_the_prior_owner(led, nft):
+    return "b", NftTarget(1, 0)
+
+
+def _hop_window_over(led, nft):
+    led.advance_block(13)
+    return "a", NftTarget(1, 0)
+
+
+@pytest.mark.parametrize("dispute, error", [
+    (_dangling_ref, UnknownSpenditureError),
+    (_burn_record, InvalidDisputeError),
+    (_not_the_sender, NotAffectedPartyError),
+    (_record_window_over, WindowElapsedError),
+    (_unknown_token, UnknownTokenError),
+    (_no_such_hop, InvalidDisputeError),
+    (_hop_cleaned_away, InvalidDisputeError),
+    (_not_the_prior_owner, NotAffectedPartyError),
+    (_hop_window_over, WindowElapsedError),
+], ids=lambda x: getattr(x, "__name__", "").strip("_"))
+def test_submit_and_freeze_refuse_the_same_disputes(dispute, error):
+    # window 10 blocks; token 1 went a -> b at block 2
+    led, eng, nft, gov, judges = make_stack(n_judges=1, epoch_length=10, window=10)
+    for addr in ("v", "a", "b"):
+        led.mint(addr, 50, block=1)
+    nft.mint(1, "a", block=1)
+    nft.transfer(1, "b", block=2)
+    claimant, target = dispute(led, nft)
+    held = led.account(claimant).nonreversible
+    with pytest.raises(LedgerError) as submitted:
+        gov.submit_freeze_request(claimant, target, 2, tip=1)
+    block = led.current_block
+    with pytest.raises(LedgerError) as froze:
+        if isinstance(target, FungibleTarget):
+            eng.execute_freeze(target.ref, claimant, block, gov.identity)
+        else:
+            nft.freeze(target.token_id, target.index, claimant, block, gov.identity)
+    assert type(submitted.value) is type(froze.value) is error
+    assert led.account(claimant).nonreversible == held
+    assert led.account(gov.escrow).nonreversible == 0
+    assert gov.cases == {} and eng.claims == {}
+    assert not any(token.frozen for token in nft.tokens.values())
+
+
 def test_submit_needs_a_big_enough_pool():
     led, eng, nft, gov, judges = make_stack(n_judges=3, pool_size=2)
     with pytest.raises(PoolTooSmallError):
@@ -316,6 +399,45 @@ def test_nft_case_full_reverse():
     vote_round(gov, cid, {judges[0]: Vote.APPROVE}, salt_base=50)
     assert nft.owner_of(1) == "a"
     assert not nft.tokens[1].frozen
+
+
+def test_second_case_on_a_frozen_nft_is_dismissed():
+    led, eng, nft, gov, judges = make_stack(n_judges=1)
+    led.mint("a", 20, block=1)
+    nft.mint(1, "a", block=1)
+    nft.transfer(1, "b", block=2)
+    first = gov.submit_freeze_request("a", NftTarget(1, 0), 2)
+    second = gov.submit_freeze_request("a", NftTarget(1, 0), 4, tip=3)
+    vote_round(gov, first, {judges[0]: Vote.APPROVE})
+    out = vote_round(gov, second, {judges[0]: Vote.APPROVE})
+    assert out.phase_after is Phase.CLOSED_DISMISSED
+    assert (gov.cases[second].burned, gov.cases[second].tip_paid_to) == (3, "b")
+    assert led.account("b").nonreversible == 3
+    assert gov.cases[first].phase is Phase.TRIAL
+    assert nft.tokens[1].frozen
+    vote_round(gov, first, {judges[0]: Vote.APPROVE}, salt_base=50)
+    assert nft.owner_of(1) == "a"
+    assert not nft.tokens[1].frozen
+    assert led.account(gov.escrow).nonreversible == 0
+
+
+@pytest.mark.parametrize("votes, phase, stake_to", [
+    ((Vote.REJECT,), Phase.CLOSED_DISMISSED, (9, 0, 0)),
+    ((Vote.APPROVE, Vote.APPROVE), Phase.CLOSED_REVERSED, (0, 8, 0)),
+    ((Vote.APPROVE, Vote.REJECT), Phase.CLOSED_REJECTED, (0, 0, 8)),
+])
+def test_tip_to_burn_burns_the_tip_however_the_case_closes(votes, phase, stake_to):
+    led, eng, nft, gov, judges = make_stack(n_judges=1, tip_to="burn")
+    cid, _ = fungible_case(gov, led, stake=10, tip=4)
+    burned_before = led.total_burned
+    for i, vote in enumerate(votes):
+        out = vote_round(gov, cid, {judges[0]: vote}, salt_base=50 * i)
+    case = gov.cases[cid]
+    assert out.phase_after is case.phase is phase
+    assert (case.burned, case.returned, case.paid_defendant) == stake_to
+    assert case.tip_paid_to == "(burned)"
+    assert led.total_burned - burned_before == 4 + case.burned
+    assert led.account(gov.escrow).nonreversible == 0
 
 
 def test_fees_go_to_every_revealing_judge():

@@ -8,11 +8,14 @@ from revtok import (
     BlockOrderError,
     DuplicateTokenError,
     FrozenAssetError,
+    InvalidDisputeError,
     NftRegistry,
+    NotAffectedPartyError,
     NotFrozenError,
     NotGovernanceError,
     NotOwnerError,
     UnknownTokenError,
+    WindowElapsedError,
 )
 
 GOV = "governance"
@@ -49,7 +52,7 @@ def test_freeze_blocks_transfers_until_reverse():
     reg = make_registry()
     reg.mint(1, "a", block=1)
     reg.transfer(1, "b", block=10)
-    assert reg.freeze(1, 0, current_block=20, caller=GOV) is True
+    reg.freeze(1, 0, "a", current_block=20, caller=GOV)
     with pytest.raises(FrozenAssetError):
         reg.transfer(1, "c", block=21)
     reg.reverse(1, 0, current_block=30, caller=GOV)
@@ -60,14 +63,20 @@ def test_freeze_blocks_transfers_until_reverse():
     assert reg.owner_of(1) == "c"
 
 
-def test_freeze_failure_modes_return_false():
+def test_freeze_failure_modes_raise():
     reg = make_registry(window=100)
     reg.mint(1, "a", block=1)
     reg.transfer(1, "b", block=10)
-    assert reg.freeze(1, 5, current_block=20, caller=GOV) is False   # no such hop
-    assert reg.freeze(1, 0, current_block=111, caller=GOV) is False  # window over
-    assert reg.freeze(1, 0, current_block=110, caller=GOV) is True   # boundary
-    assert reg.freeze(1, 0, current_block=110, caller=GOV) is False  # already frozen
+    with pytest.raises(InvalidDisputeError):  # no such hop
+        reg.freeze(1, 5, "a", current_block=20, caller=GOV)
+    with pytest.raises(NotAffectedPartyError):  # b was not the owner before the hop
+        reg.freeze(1, 0, "b", current_block=20, caller=GOV)
+    with pytest.raises(WindowElapsedError):
+        reg.freeze(1, 0, "a", current_block=111, caller=GOV)
+    assert not reg._token(1).frozen
+    reg.freeze(1, 0, "a", current_block=110, caller=GOV)  # boundary
+    with pytest.raises(FrozenAssetError):
+        reg.freeze(1, 0, "a", current_block=110, caller=GOV)
 
 
 def test_reverse_requires_freeze_and_governance():
@@ -76,18 +85,18 @@ def test_reverse_requires_freeze_and_governance():
     reg.transfer(1, "b", block=2)
     with pytest.raises(NotFrozenError):
         reg.reverse(1, 0, current_block=3, caller=GOV)
-    reg.freeze(1, 0, current_block=3, caller=GOV)
+    reg.freeze(1, 0, "a", current_block=3, caller=GOV)
     with pytest.raises(NotGovernanceError):
         reg.reverse(1, 0, current_block=3, caller="mallory")
     with pytest.raises(NotGovernanceError):
-        reg.freeze(1, 0, current_block=3, caller="mallory")
+        reg.freeze(1, 0, "a", current_block=3, caller="mallory")
 
 
 def test_reject_reverse_unfreezes_in_place():
     reg = make_registry()
     reg.mint(1, "a", block=1)
     reg.transfer(1, "b", block=2)
-    reg.freeze(1, 0, current_block=3, caller=GOV)
+    reg.freeze(1, 0, "a", current_block=3, caller=GOV)
     reg.reject_reverse(1, caller=GOV)
     assert not reg._token(1).frozen
     assert reg.owner_of(1) == "b"
@@ -125,8 +134,9 @@ def test_indexes_survive_clean():
         reg.transfer(1, owner, block=block)
     assert reg.clean([1], current_block=14)[0].dropped == 2
     assert reg.disputable_indexes(1, current_block=14) == [2, 3]
-    assert reg.freeze(1, 1, current_block=14, caller=GOV) is False  # cleaned away
-    assert reg.freeze(1, 2, current_block=14, caller=GOV) is True
+    with pytest.raises(InvalidDisputeError):  # cleaned away
+        reg.freeze(1, 1, "b", current_block=14, caller=GOV)
+    reg.freeze(1, 2, "c", current_block=14, caller=GOV)
     reg.reverse(1, 2, current_block=15, caller=GOV)
     assert reg.owner_of(1) == "c"
 
@@ -135,7 +145,7 @@ def test_clean_skips_frozen_tokens():
     reg = make_registry(window=10)
     reg.mint(1, "a", block=1)
     reg.transfer(1, "b", block=2)
-    reg.freeze(1, 0, current_block=5, caller=GOV)
+    reg.freeze(1, 0, "a", current_block=5, caller=GOV)
     res = reg.clean([1], current_block=500)[0]
     assert (res.status, res.reason) == ("skipped", "frozen")
     assert len(reg.history(1)) == 2
