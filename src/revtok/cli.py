@@ -4,8 +4,9 @@
     revtok oracle --trials N --seed S [--burns {none,mixed}] [--out FILE]
 
 Exit codes: 0 success, 1 a check or trial failed, 2 usage or parse error (a
-scenario line with an unknown key, a malformed integer or hex value, or an
-`expect` that compares nothing is a parse error).  Reports are byte-identical
+scenario line with an unknown key, a malformed integer or hex value, an
+`expect` that compares nothing, or a `config` line that follows another
+operation or holds an unknown key or a bad value is a parse error).  Reports are byte-identical
 for identical inputs and carry no timing.
 """
 

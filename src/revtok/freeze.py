@@ -294,7 +294,11 @@ class FreezeEngine:
         self.ledger = ledger
         self.governance = governance
         self.claims: dict[str, Claim] = {}
-        self.claim_order: list[str] = []
+
+    @property
+    def claim_order(self) -> list[str]:
+        """Claim ids in filing order."""
+        return list(self.claims)
 
     def _require_governance(self, caller: Address) -> None:
         if caller != self.governance:
@@ -354,7 +358,7 @@ class FreezeEngine:
         plan = calc_freeze(graph, record.amount, self.ledger.available_rbalance)
         claim_id = hashlib.sha256(
             b"claim|%d|%d|%s|%d|%d"
-            % (len(self.claim_order), disputed.epoch, disputed.sender.encode(),
+            % (len(self.claims), disputed.epoch, disputed.sender.encode(),
                disputed.index, current_block)
         ).hexdigest()
 
@@ -370,7 +374,6 @@ class FreezeEngine:
                 assert edge.record.amount >= 0
         claim = Claim(claim_id, victim, disputed, ClaimStatus.FROZEN, plan)
         self.claims[claim_id] = claim
-        self.claim_order.append(claim_id)
         return claim_id
 
     def reverse(self, claim_id: str, caller: Address) -> int:

@@ -229,7 +229,6 @@ class Governance:
         self.identity = identity
         self.escrow = escrow
         self.cases: dict[int, Case] = {}
-        self._next_case_id = 1
 
     def _case(self, case_id: int) -> Case:
         case = self.cases.get(case_id)
@@ -264,7 +263,7 @@ class Governance:
                 f"stake {stake} is below the minimum {self.policy.min_stake}"
             )
         n = self.policy.quorum_for(disputed_amount)
-        case_id = self._next_case_id
+        case_id = len(self.cases) + 1  # cases are never deleted
         quorum = select_quorum(self.pool.judges, n, beacon_seed, case_id)
         # Checks done; escrow and register.
         self.ledger.move_nonreversible(claimant, self.escrow, stake + tip)
@@ -280,7 +279,6 @@ class Governance:
             evidence=evidence,
         )
         self.cases[case_id] = case
-        self._next_case_id += 1
         return case_id
 
     # -- voting ---------------------------------------------------------------

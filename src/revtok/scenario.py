@@ -1,10 +1,13 @@
 """Scenario files: a line-based format driving the whole engine.
 
 Each non-comment line is one operation, `op key=value key=value ...`.  A `#`
-(at line start or after whitespace) starts a comment.  Operations execute in
-order against a single engine; `expect` lines assert on the state reached so
-far, and any operation may carry `expectError=SomeError` to assert that it
-fails with exactly that error.
+(at line start or after whitespace) starts a comment.  `parse_scenario` is the
+only reader of scenario text: it checks each line and stores each value as
+the type its `OP_KEYS` spec marks.  `config` lines precede every other line
+and are checked when parsed; the runner wires one engine from them, then
+executes the other operations in order.  `expect` lines assert on the state
+reached so far, and any operation may carry `expectError=SomeError` to
+assert that it fails with exactly that error.
 
 Replaying a scenario produces a JSON report that is byte-identical across
 runs: the report is a pure function of the scenario text.
@@ -13,6 +16,7 @@ runs: the report is a pure function of the scenario text.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from typing import Any
 
@@ -32,21 +36,23 @@ from .ledger import BurnSource, TokenLedger
 from .nft import NftRegistry
 from .spendlog import EpochConfig, SpendRef
 
-# The keys each operation takes.  In a spec, `#` marks a non-negative integer,
-# `#*` a comma-separated list of them, `%` hex bytes, `!` true or false, and
-# `?` an optional key.  submitFreeze and expect take different keys per kind=;
-# an expect kind's compared keys follow the `|`, and its line must carry at
-# least one of them.  `config` keys are checked when the line runs.
+# The keys each operation takes.  In a spec, `#` marks a non-negative integer
+# (stored as int), `*` a comma-separated list whose empty items are skipped
+# (list[str], or list[int] as `#*`), `%` hex bytes (bytes), `!` true or false
+# (bool), and `?` an optional key; `source` and `vote` values are stored as
+# the enum `_CHOICES` names.  submitFreeze and expect take different keys per
+# kind=; an expect kind's compared keys follow the `|`, and its line must
+# carry at least one of them.  `config` keys are those `_parse_config` knows.
 _SUBMIT = "claimant stake# tip#? evidence? seed%?"
 OP_KEYS: dict[str, str | dict[str, str] | None] = {
     "config": None,
-    "judges": "ids",
+    "judges": "ids*",
     "advanceBlock": "to#",
     "mint": "to amount#",
     "transfer": "from to amount#",
     "rtransfer": "from to amount#",
     "burn": "from amount# source?",
-    "clean": "epoch# senders",
+    "clean": "epoch# senders*",
     "nftMint": "token# to",
     "nftTransfer": "token# to from?",
     "nftClean": "tokens#*",
@@ -76,35 +82,32 @@ OP_KEYS: dict[str, str | dict[str, str] | None] = {
 
 _MARKS = "#*%!?"
 # Keys whose value is one of a fixed set, on whichever line they appear.
-_CHOICES = {"source": ("reversible", "nonreversible"), "vote": ("approve", "reject")}
+_CHOICES = {"source": BurnSource, "vote": Vote}
+# A `#` at line start or after whitespace starts a comment.
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 @dataclass
 class ScenarioOp:
     line: int
     name: str
-    params: dict[str, str]
+    params: dict[str, Any]  # each value typed as its OP_KEYS spec marks
     expect_error: str | None = None
-
-
-def _split_comment(line: str) -> str:
-    if line.lstrip().startswith("#"):
-        return ""
-    cut = line.find(" #")
-    return line[:cut] if cut >= 0 else line
+    label: str = ""  # the key=value pairs as written, expectError aside
 
 
 def parse_scenario(text: str) -> list[ScenarioOp]:
     ops: list[ScenarioOp] = []
+    config: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _split_comment(raw).strip()
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
         tokens = line.split()
         name = tokens[0]
         if name not in OP_KEYS:
             raise ParseError(f"unknown operation '{name}'", line_no, raw.find(name) + 1)
-        params: dict[str, str] = {}
+        params: dict[str, Any] = {}
         expect_error = None
         for token in tokens[1:]:
             if "=" not in token:
@@ -122,18 +125,26 @@ def parse_scenario(text: str) -> list[ScenarioOp]:
                 raise ParseError(f"duplicate key '{key}'", line_no, raw.find(token) + 1)
             else:
                 params[key] = value
-        op = ScenarioOp(line_no, name, params, expect_error)
-        _validate_op(op, raw)
+        label = " ".join(t for t in tokens[1:] if not t.startswith("expectError="))
+        op = ScenarioOp(line_no, name, params, expect_error, label)
+        if name == "config":
+            if any(earlier.name != "config" for earlier in ops):
+                raise ParseError("config lines must precede engine operations", line_no)
+            config.update(params)
+            try:
+                _parse_config(config)
+            except ValueError as err:
+                raise ParseError(f"bad config: {err}", line_no) from None
+        else:
+            _validate_op(op, raw)
         ops.append(op)
     return ops
 
 
 def _validate_op(op: ScenarioOp, raw: str) -> None:
-    """Check a line against its OP_KEYS spec: every required key present, no
-    other key, integers and hex well formed, choices among their values."""
+    """Check a line against its OP_KEYS spec (every required key present, no
+    other key) and replace each value with the value its spec word types."""
     spec = OP_KEYS[op.name]
-    if spec is None:
-        return
     params = op.params
     if isinstance(spec, dict):
         if params.get("kind") not in spec:
@@ -150,25 +161,9 @@ def _validate_op(op: ScenarioOp, raw: str) -> None:
         if value is None:
             if not word.endswith("?"):
                 raise ParseError(f"'{op.name}' needs {key}=", op.line)
-            continue
-        column = raw.find(f"{key}={value}") + len(key) + 2
-        if "#" in word and not (key == "claim" and value == "last"):
-            items = value.split(",") if "*" in word else [value]
-            for item in filter(None, items):  # an empty list item is skipped
-                try:
-                    n = int(item)
-                except ValueError:
-                    raise ParseError(f"malformed {key} '{value}'", op.line, column) from None
-                if n < 0:
-                    raise ParseError(f"{key} must be non-negative", op.line, column)
-        elif "%" in word:
-            data = _parse_hex(value, key, op.line, column)
-            if key == "salt" and len(data) > SALT_LENGTH:
-                raise ParseError(f"salt may be at most {SALT_LENGTH} bytes", op.line, column)
-        elif "!" in word and value not in ("true", "false"):
-            raise ParseError(f"{key} must be true or false", op.line, column)
-        elif key in _CHOICES and value not in _CHOICES[key]:
-            raise ParseError(f"{key} must be one of {', '.join(_CHOICES[key])}", op.line)
+        elif not (key == "claim" and value == "last"):
+            column = raw.find(f"{key}={value}") + len(key) + 2
+            params[key] = _typed(key, word, value, op.line, column)
     compared_keys = [word.rstrip(_MARKS) for word in compared.split()]
     if compared_keys and not params.keys() & set(compared_keys):
         raise ParseError(
@@ -178,12 +173,39 @@ def _validate_op(op: ScenarioOp, raw: str) -> None:
         raise ParseError("'commit' needs commitment=, or vote= and salt=", op.line)
 
 
-def _parse_hex(value: str, what: str, line: int, column: int = 1) -> bytes:
-    padded = value if len(value) % 2 == 0 else "0" + value
-    try:
-        return bytes.fromhex(padded)
-    except ValueError:
-        raise ParseError(f"malformed {what} '{value}'", line, column) from None
+def _typed(key: str, word: str, value: str, line: int, column: int) -> Any:
+    """`value` as the type spec word `word` marks; ParseError if malformed."""
+    if "*" in word:
+        item_word = word.replace("*", "")
+        return [_typed(key, item_word, item, line, column) for item in value.split(",") if item]
+    if "#" in word:
+        try:
+            n = int(value)
+        except ValueError:
+            raise ParseError(f"malformed {key} '{value}'", line, column) from None
+        if n < 0:
+            raise ParseError(f"{key} must be non-negative", line, column)
+        return n
+    if "%" in word:
+        try:
+            data = bytes.fromhex(value if len(value) % 2 == 0 else "0" + value)
+        except ValueError:
+            raise ParseError(f"malformed {key} '{value}'", line, column) from None
+        if key == "salt" and len(data) > SALT_LENGTH:
+            raise ParseError(f"salt may be at most {SALT_LENGTH} bytes", line, column)
+        return data
+    if "!" in word:
+        if value not in ("true", "false"):
+            raise ParseError(f"{key} must be true or false", line, column)
+        return value == "true"
+    if key in _CHOICES:
+        choices = _CHOICES[key]
+        if value not in {c.value for c in choices}:
+            raise ParseError(
+                f"{key} must be one of {', '.join(c.value for c in choices)}", line, column
+            )
+        return choices(value)
+    return value
 
 
 @dataclass
@@ -218,12 +240,14 @@ _POLICY_KEYS = {
     "extremeMinority": ("extreme_minority_max", int),
     "tipTo": ("tip_to", str),
 }
-_CONFIG_KEYS = {"delta", "window", *_POLICY_KEYS}
 
 
 def _parse_config(cfg: dict[str, str]) -> tuple[EpochConfig, FeePolicy]:
-    """The engine settings a config describes; ValueError if a value is
-    malformed or out of range."""
+    """The engine settings a config describes; ValueError if a key is
+    unknown or a value is malformed or out of range."""
+    unknown = sorted(cfg.keys() - {"delta", "window", *_POLICY_KEYS})
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
     epoch_config = EpochConfig(
         epoch_length=int(cfg.get("delta", 1000)),
         dispute_window=int(cfg.get("window", 24000)),
@@ -241,24 +265,22 @@ def _parse_config(cfg: dict[str, str]) -> tuple[EpochConfig, FeePolicy]:
 class ScenarioRunner:
     """Executes parsed operations against one freshly wired engine."""
 
+    ledger: TokenLedger
+    freeze: FreezeEngine
+    nft: NftRegistry
+    gov: Governance
+
     def __init__(self, name: str = "scenario"):
         self.name = name
-        self._config: dict[str, str] = {}
-        self._built = False
-        self.ledger: TokenLedger | None = None
-        self.freeze: FreezeEngine | None = None
-        self.nft: NftRegistry | None = None
-        self.gov: Governance | None = None
         self.checks: list[Check] = []
         self.failed_ops: list[dict[str, Any]] = []
         self.clean_reports: list[dict[str, Any]] = []
 
-    # -- engine wiring -------------------------------------------------------
+    # -- running ----------------------------------------------------------------
 
-    def _build(self) -> None:
-        if self._built:
-            return
-        epoch_config, policy = _parse_config(self._config)
+    def run(self, ops: list[ScenarioOp]) -> RunResult:
+        config = {k: v for op in ops if op.name == "config" for k, v in op.params.items()}
+        epoch_config, policy = _parse_config(config)
         self.ledger = TokenLedger(epoch_config)
         self.freeze = FreezeEngine(self.ledger, governance="governance")
         self.nft = NftRegistry("governance", epoch_config.dispute_window)
@@ -270,13 +292,9 @@ class ScenarioRunner:
             policy,
             identity="governance",
         )
-        self._built = True
-
-    # -- running ----------------------------------------------------------------
-
-    def run(self, ops: list[ScenarioOp]) -> RunResult:
         for op in ops:
-            self._run_op(op)
+            if op.name != "config":
+                self._run_op(op)
         return RunResult(self._report(ops), self._exit_code())
 
     def _exit_code(self) -> int:
@@ -284,31 +302,7 @@ class ScenarioRunner:
             return 1
         return 0
 
-    def _configure(self, params: dict[str, str]) -> tuple[str, str] | None:
-        """Apply one config line, or return the (error, message) rejecting it."""
-        if self._built:
-            return "ConfigAfterStart", "config lines must precede engine operations"
-        unknown = set(params) - _CONFIG_KEYS
-        if unknown:
-            return "ConfigKeyError", f"unknown config keys: {sorted(unknown)}"
-        config = {**self._config, **params}
-        try:
-            _parse_config(config)
-        except ValueError as err:
-            return "ConfigValueError", str(err)
-        self._config = config
-        return None
-
     def _run_op(self, op: ScenarioOp) -> None:
-        if op.name == "config":
-            rejected = self._configure(op.params)
-            if rejected:
-                error, message = rejected
-                self.failed_ops.append(
-                    {"line": op.line, "op": op.name, "error": error, "message": message}
-                )
-            return
-        self._build()
         if op.name == "expect":
             self.checks.append(self._evaluate_expect(op))
             return
@@ -337,60 +331,50 @@ class ScenarioRunner:
         p = op.params
         ledger, block = self.ledger, self.ledger.current_block
         if op.name == "judges":
-            for judge in p["ids"].split(","):
-                if judge:
-                    self.gov.pool.add(judge)
+            for judge in p["ids"]:
+                self.gov.pool.add(judge)
         elif op.name == "advanceBlock":
-            ledger.advance_block(int(p["to"]))
+            ledger.advance_block(p["to"])
         elif op.name == "mint":
-            ledger.mint(p["to"], int(p["amount"]), block)
+            ledger.mint(p["to"], p["amount"], block)
         elif op.name == "transfer":
-            ledger.transfer(p["from"], p["to"], int(p["amount"]), block)
+            ledger.transfer(p["from"], p["to"], p["amount"], block)
         elif op.name == "rtransfer":
-            ledger.rtransfer(p["from"], p["to"], int(p["amount"]), block)
+            ledger.rtransfer(p["from"], p["to"], p["amount"], block)
         elif op.name == "burn":
-            source = BurnSource(p.get("source", "nonreversible"))
-            ledger.burn(p["from"], int(p["amount"]), block, source)
+            ledger.burn(p["from"], p["amount"], block, p.get("source", BurnSource.NONREVERSIBLE))
         elif op.name == "clean":
-            senders = [s for s in p["senders"].split(",") if s]
-            report = ledger.clean(int(p["epoch"]), senders, block)
+            report = ledger.clean(p["epoch"], p["senders"], block)
             self.clean_reports.append({"line": op.line, **report.as_dict()})
         elif op.name == "nftMint":
-            self.nft.mint(int(p["token"]), p["to"], block)
+            self.nft.mint(p["token"], p["to"], block)
         elif op.name == "nftTransfer":
-            self.nft.transfer(int(p["token"]), p["to"], block, p.get("from"))
+            self.nft.transfer(p["token"], p["to"], block, p.get("from"))
         elif op.name == "nftClean":
-            tokens = [int(t) for t in p["tokens"].split(",") if t]
-            self.nft.clean(tokens, block)
+            self.nft.clean(p["tokens"], block)
         elif op.name == "submitFreeze":
             if p["kind"] == "fungible":
-                target = FungibleTarget(SpendRef(int(p["epoch"]), p["from"], int(p["index"])))
+                target = FungibleTarget(SpendRef(p["epoch"], p["from"], p["index"]))
             else:
-                target = NftTarget(int(p["token"]), int(p["index"]))
+                target = NftTarget(p["token"], p["index"])
             self.gov.submit_freeze_request(
                 claimant=p["claimant"],
                 target=target,
-                stake=int(p["stake"]),
-                tip=int(p.get("tip", 0)),
+                stake=p["stake"],
+                tip=p.get("tip", 0),
                 evidence=p.get("evidence", ""),
-                beacon_seed=_parse_hex(p.get("seed", "00"), "seed", op.line),
+                beacon_seed=p.get("seed", b"\x00"),
             )
         elif op.name == "commit":
-            case_id = int(p["case"])
             if "commitment" in p:
-                commitment = _parse_hex(p["commitment"], "commitment", op.line)
+                commitment = p["commitment"]
             else:
-                commitment = commitment_hash(
-                    Vote(p["vote"]), _parse_hex(p["salt"], "salt", op.line), case_id
-                )
-            self.gov.cast_commit(case_id, p["judge"], commitment)
+                commitment = commitment_hash(p["vote"], p["salt"], p["case"])
+            self.gov.cast_commit(p["case"], p["judge"], commitment)
         elif op.name == "reveal":
-            self.gov.cast_reveal(
-                int(p["case"]), p["judge"], Vote(p["vote"]),
-                _parse_hex(p["salt"], "salt", op.line),
-            )
+            self.gov.cast_reveal(p["case"], p["judge"], p["vote"], p["salt"])
         elif op.name == "tally":
-            self.gov.tally(int(p["case"]))
+            self.gov.tally(p["case"])
         else:  # pragma: no cover - parser screens op names
             raise AssertionError(f"unhandled op {op.name}")
 
@@ -398,7 +382,6 @@ class ScenarioRunner:
 
     def _evaluate_expect(self, op: ScenarioOp) -> Check:
         p = op.params
-        label = " ".join(f"{k}={v}" for k, v in p.items())
         failures: list[str] = []
         try:
             facts = self._expect_facts(p)
@@ -408,21 +391,16 @@ class ScenarioRunner:
             if key not in p:
                 continue
             if isinstance(actual, list):  # edge: some touched src->dst edge has the value
-                if int(p[key]) not in actual:
+                if p[key] not in actual:
                     failures.append(
                         f"no touched edge {p['src']}->{p['dst']} with value {p[key]}; saw {actual}"
                     )
                 continue
-            expected: Any = p[key]
-            if isinstance(actual, bool):
-                expected = expected == "true"
-            elif isinstance(actual, int):
-                expected = int(expected)
-            if actual != expected:
-                failures.append(f"{key}: expected {expected}, got {actual}")
-        return Check(op.line, label, not failures, "; ".join(failures))
+            if actual != p[key]:
+                failures.append(f"{key}: expected {p[key]}, got {actual}")
+        return Check(op.line, op.label, not failures, "; ".join(failures))
 
-    def _expect_facts(self, p: dict[str, str]) -> dict[str, Any]:
+    def _expect_facts(self, p: dict[str, Any]) -> dict[str, Any]:
         """What an expect line of kind p["kind"] can compare, under the
         compared key names its OP_KEYS spec gives."""
         kind = p["kind"]
@@ -441,12 +419,12 @@ class ScenarioRunner:
                 "circulating": self.ledger.circulating(),
             }
         if kind == "spend":
-            record = self.ledger.log.resolve(SpendRef(int(p["epoch"]), p["from"], int(p["index"])))
+            record = self.ledger.log.resolve(SpendRef(p["epoch"], p["from"], p["index"]))
             return {"amount": record.amount, "original": record.original_amount}
         if kind == "phase":
-            return {"value": self.gov._case(int(p["case"])).phase.value}
+            return {"value": self.gov._case(p["case"]).phase.value}
         if kind.startswith("nft"):
-            token = self.nft._token(int(p["token"]))
+            token = self.nft._token(p["token"])
             if kind == "nftOwner":
                 return {"owner": token.current_owner}
             if kind == "nftFrozen":
@@ -466,17 +444,16 @@ class ScenarioRunner:
             return {"amount": claim.plan.obligations.get(p["addr"], 0)}
         return {"amount": claim.plan.total_frozen}  # freezeTotal
 
-    def _pick_claim(self, selector: str) -> Claim:
-        order = self.freeze.claim_order
-        index = len(order) - 1 if selector == "last" else int(selector) - 1
-        if not 0 <= index < len(order):
+    def _pick_claim(self, selector: int | str) -> Claim:
+        claims = list(self.freeze.claims.values())
+        index = len(claims) - 1 if selector == "last" else selector - 1
+        if not 0 <= index < len(claims):
             raise UnknownClaimError(f"no claim matches selector '{selector}'")
-        return self.freeze.claims[order[index]]
+        return claims[index]
 
     # -- report ---------------------------------------------------------------
 
     def _report(self, ops: list[ScenarioOp]) -> dict[str, Any]:
-        self._build()  # a config-only scenario still reports empty state
         accounts = {
             addr: {
                 "reversible": acct.reversible,
@@ -498,7 +475,7 @@ class ScenarioRunner:
             }
             for ref, rec in self.ledger.log.all_records()
         ]
-        filed = [self.freeze.claims[c] for c in self.freeze.claim_order]
+        filed = list(self.freeze.claims.values())
         claims = [
             {
                 "id": claim.claim_id,

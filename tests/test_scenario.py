@@ -7,6 +7,7 @@ import pytest
 
 from revtok import ParseError
 from revtok.cli import main as cli_main
+from revtok.ledger import BurnSource
 from revtok.scenario import parse_scenario, run_scenario_text
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -26,10 +27,27 @@ expect kind=supply minted=30 circulating=30 burned=0
 
 
 def test_comments_and_blanks_are_skipped():
-    ops = parse_scenario("# full line\n\n  \nmint to=a amount=1  # tail\n")
-    assert len(ops) == 1
-    assert ops[0].params == {"to": "a", "amount": "1"}
+    ops = parse_scenario(
+        "# full line\n\n  \nmint to=a amount=1  # tail\nmint to=a amount=1\t# tab\n"
+    )
+    assert len(ops) == 2
+    assert ops[0].params == ops[1].params == {"to": "a", "amount": 1}
     assert ops[0].line == 4
+
+
+def test_values_are_typed_by_their_spec():
+    nft_clean, judges, reveal, frozen, burn = parse_scenario(
+        "nftClean tokens=1,,2\n"
+        "judges ids=a,,b\n"
+        "reveal case=1 judge=j vote=approve salt=1\n"
+        "expect kind=nftFrozen token=1 value=true\n"
+        "burn from=a amount=1 source=reversible\n"
+    )
+    assert nft_clean.params["tokens"] == [1, 2]
+    assert judges.params["ids"] == ["a", "b"]
+    assert reveal.params["salt"] == b"\x01"
+    assert frozen.params["value"] is True
+    assert burn.params["source"] is BurnSource.REVERSIBLE
 
 
 def test_unknown_op_reports_position():
@@ -95,6 +113,8 @@ def test_enum_fields_are_validated():
     "reveal case=1 judge=j vote=approve salt=0x",
     "submitFreeze kind=nft claimant=v token=1 index=0 stake=2 seed=g0",
     "expect kind=nftFrozen token=1 value=yes",  # a boolean is true or false
+    "mint to=a amount=1,2",  # a key without `*` holds exactly one integer
+    "mint to=a amount=,",
 ])
 def test_unknown_vacuous_and_malformed_keys_fail(line):
     with pytest.raises(ParseError):
@@ -102,9 +122,9 @@ def test_unknown_vacuous_and_malformed_keys_fail(line):
 
 
 def test_claim_selector_accepts_last_and_numbers():
-    for claim in ("last", "2"):
+    for claim, selector in (("last", "last"), ("2", 2)):
         op, = parse_scenario(f"expect kind=freeze claim={claim} addr=a amount=1")
-        assert op.params["claim"] == claim
+        assert op.params["claim"] == selector
 
 
 # -- running ---------------------------------------------------------------------
@@ -117,6 +137,13 @@ def test_basic_scenario_passes():
     assert all(c["pass"] for c in report["checks"])
     assert report["accounts"]["a"]["nonreversible"] == 10
     assert report["failedOps"] == []
+
+
+def test_check_label_is_the_text_as_written():
+    res = run_scenario_text("mint to=a amount=10\nexpect kind=balance addr=a nr=010\n", "label")
+    assert res.exit_code == 0
+    check, = json.loads(res.to_json())["checks"]
+    assert check["label"] == "kind=balance addr=a nr=010"
 
 
 def test_failing_check_sets_exit_code():
@@ -154,25 +181,23 @@ def test_unexpected_error_is_a_failed_op():
 
 
 def test_config_must_precede_operations():
-    res = run_scenario_text("mint to=a amount=1\nconfig delta=5\n", "late")
-    assert res.exit_code == 1
-    report = json.loads(res.to_json())
-    assert report["failedOps"][0]["error"] == "ConfigAfterStart"
+    with pytest.raises(ParseError) as err:
+        parse_scenario("config delta=5\nmint to=a amount=1\nconfig window=9\n")
+    assert err.value.line == 3
 
 
 def test_unknown_config_key_fails():
-    res = run_scenario_text("config speed=11\n", "cfg")
-    assert res.exit_code == 1
-    assert json.loads(res.to_json())["failedOps"][0]["error"] == "ConfigKeyError"
+    with pytest.raises(ParseError) as err:
+        parse_scenario("config delta=5\nconfig speed=11\n")
+    assert err.value.line == 2
+    assert "speed" in str(err.value)
 
 
 @pytest.mark.parametrize("setting", ["n=x", "minorityRatio=abc", "minStake=5", "delta=0"])
 def test_malformed_config_value_fails(setting):
-    # the failed line is not applied: the engine still builds with defaults
-    res = run_scenario_text(f"config {setting}\nmint to=a amount=1\n", "cfg")
-    assert res.exit_code == 1
-    report = json.loads(res.to_json())
-    assert [(f["line"], f["error"]) for f in report["failedOps"]] == [(1, "ConfigValueError")]
+    with pytest.raises(ParseError) as err:
+        parse_scenario(f"config window=9\nconfig {setting}\n")
+    assert err.value.line == 2
 
 
 def test_reports_are_byte_deterministic():
@@ -222,6 +247,9 @@ def test_cli_replay_exit_codes(tmp_path, capsys):
     commitment = tmp_path / "commitment.scn"
     commitment.write_text("commit case=1 judge=j commitment=zz\n")
     assert cli_main(["replay", str(commitment)]) == 2
+    late = tmp_path / "late.scn"
+    late.write_text("mint to=a amount=1\nconfig delta=5\n")
+    assert cli_main(["replay", str(late)]) == 2
     assert cli_main(["replay", str(tmp_path / "missing.scn")]) == 2
     err = capsys.readouterr().err
     assert "line 1" in err
