@@ -126,7 +126,8 @@ class NftRegistry:
         Raises UnknownTokenError for an unknown token, InvalidDisputeError
         when the index does not name a kept transfer (it was never made or
         was cleaned away), NotAffectedPartyError when `claimant` is not the
-        index-i owner and WindowElapsedError once the hop's window has closed.
+        index-i owner, WindowElapsedError once the hop's window has closed
+        and FrozenAssetError while the token is frozen.
         """
         token = self._token(token_id)
         prior, hop = token.record(index), token.record(index + 1)
@@ -140,20 +141,18 @@ class NftRegistry:
             raise WindowElapsedError(
                 f"transfer from block {hop.block} is outside the window at {current_block}"
             )
+        if token.frozen:
+            raise FrozenAssetError(f"token {token_id} is already frozen")
         return hop.owner
 
     def freeze(
         self, token_id: int, index: int, claimant: Address, current_block: int, caller: Address
     ) -> None:
         """Freeze the token over the transfer that made record index+1 the
-        owner.  Raises what `disputed_owner` raises, and FrozenAssetError
-        when the token is already frozen."""
+        owner.  Raises what `disputed_owner` raises."""
         self._require_governance(caller)
         self.disputed_owner(token_id, index, claimant, current_block)
-        token = self.tokens[token_id]
-        if token.frozen:
-            raise FrozenAssetError(f"token {token_id} is already frozen")
-        token.frozen = True
+        self.tokens[token_id].frozen = True
 
     def reverse(self, token_id: int, index: int, current_block: int, caller: Address) -> None:
         """Return the token to the owner at record `index` by appending a

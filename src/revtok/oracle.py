@@ -20,58 +20,71 @@ Trials come in three shapes: free-form (cycles welcome), layered (indexes only
 flow upward, guaranteeing a DAG so the brute-force replay applies), and
 interleaved (one hub account alternates incoming and outgoing transfers, the
 shape that stresses the newest-first obligation rule).
+
+A trial is a list of the `ScenarioOp`s that `parse_scenario` reads from its
+scenario text, replayed through `ScenarioRunner.dispatch`.  Each violation is
+that text under a comment naming the finding and the disputed transfer's
+line, so `revtok replay` runs it as is.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import Any
 
-from .freeze import FreezeEngine
-from .ledger import BurnSource, TokenLedger
-from .spendlog import EpochConfig
+from .ledger import BurnSource
+from .scenario import ScenarioOp, ScenarioRunner
 
 GOVERNANCE = "governance"
-
-# ops are tuples:
-#   ("mint", to, amount) | ("advance", block) | ("transfer", frm, to, amount)
-#   | ("rtransfer", frm, to, amount) | ("rburn", frm, amount)
 
 
 @dataclass
 class TrialSpec:
-    ops: list[tuple]
+    ops: list[ScenarioOp]  # starting with advanceBlock to=1
     dispute: int  # index into ops of the disputed transfer
     shape: str
     burns: bool
 
 
-def _fmt_ops(spec: TrialSpec) -> str:
-    return "; ".join("(%s)" % ", ".join(str(x) for x in op) for op in spec.ops)
+def trial_text(spec: TrialSpec, finding: str) -> str:
+    """The trial as scenario text, under a comment naming `finding` and the
+    disputed transfer's line; `parse_scenario` reads `spec.ops` back from it."""
+    head = f"# {finding}; disputed transfer on line {spec.ops[spec.dispute].line}\n"
+    return head + "".join(f"{op.name} {op.label}\n" for op in spec.ops)
+
+
+def _add(ops: list[ScenarioOp], name: str, params: dict[str, Any]) -> None:
+    """Append the op `parse_scenario` reads from line `name key=value ...` of
+    `trial_text`, whose first line is its comment."""
+    label = " ".join(f"{key}={getattr(value, 'value', value)}" for key, value in params.items())
+    ops.append(ScenarioOp(len(ops) + 2, name, params, label=label))
 
 
 # -- generation ----------------------------------------------------------------
 
 
 def generate_trial(rng: random.Random, shape: str, burns: bool) -> TrialSpec:
+    ops: list[ScenarioOp] = []
+    _add(ops, "advanceBlock", {"to": 1})
     if shape == "interleaved":
-        return _generate_interleaved(rng, burns)
+        return _generate_interleaved(rng, ops, burns)
     if shape == "layered":
-        return _generate_layered(rng, burns)
-    return _generate_generic(rng, burns)
+        return _generate_layered(rng, ops, burns)
+    return _generate_generic(rng, ops, burns)
 
 
-def _generate_generic(rng: random.Random, burns: bool) -> TrialSpec:
+def _generate_generic(rng: random.Random, ops: list[ScenarioOp], burns: bool) -> TrialSpec:
     addrs = ["a%d" % i for i in range(rng.randint(2, 7))]
     victim = "v"
     nr = {a: 0 for a in addrs + [victim]}
     r = {a: 0 for a in addrs + [victim]}
-    ops: list[tuple] = []
     block = 1
     for a in rng.sample(addrs, rng.randint(0, len(addrs) // 2 + 1)):
         amount = rng.randint(1, 100)
-        ops.append(("mint", a, amount))
+        _add(ops, "mint", {"to": a, "amount": amount})
         nr[a] += amount
     # a little pre-dispute traffic, eligible for exclusion by the trace rules
     for _ in range(rng.randint(0, 3)):
@@ -81,21 +94,21 @@ def _generate_generic(rng: random.Random, burns: bool) -> TrialSpec:
         frm = rng.choice(senders)
         amount = rng.randint(1, nr[frm])
         to = rng.choice(addrs)
-        ops.append(("transfer", frm, to, amount))
+        _add(ops, "transfer", {"from": frm, "to": to, "amount": amount})
         nr[frm] -= amount
         r[to] += amount
     s = rng.randint(1, 100)
-    ops.append(("mint", victim, s))
+    _add(ops, "mint", {"to": victim, "amount": s})
     nr[victim] += s
     root = rng.choice(addrs)
     dispute = len(ops)
-    ops.append(("transfer", victim, root, s))
+    _add(ops, "transfer", {"from": victim, "to": root, "amount": s})
     nr[victim] -= s
     r[root] += s
     for _ in range(rng.randint(1, 11)):
         if rng.random() < 0.2:
             block += rng.randint(1, 3)
-            ops.append(("advance", block))
+            _add(ops, "advanceBlock", {"to": block})
             continue
         candidates = [a for a in addrs + [victim] if r[a] > 0 or nr[a] > 0]
         if not candidates:
@@ -106,7 +119,7 @@ def _generate_generic(rng: random.Random, burns: bool) -> TrialSpec:
     return TrialSpec(ops, dispute, "generic", burns)
 
 
-def _generate_layered(rng: random.Random, burns: bool) -> TrialSpec:
+def _generate_layered(rng: random.Random, ops: list[ScenarioOp], burns: bool) -> TrialSpec:
     """Post-dispute transfers only flow from lower to higher index: a DAG by
     construction, so the brute-force replay can check the whole freeze map."""
     count = rng.randint(2, 6)
@@ -114,26 +127,25 @@ def _generate_layered(rng: random.Random, burns: bool) -> TrialSpec:
     victim = "v"
     nr = {a: 0 for a in addrs}
     r = {a: 0 for a in addrs}
-    ops: list[tuple] = []
     block = 1
     for a in rng.sample(addrs, rng.randint(0, count - 1)):
         amount = rng.randint(1, 60)
         if rng.random() < 0.5:
-            ops.append(("mint", a, amount))
+            _add(ops, "mint", {"to": a, "amount": amount})
             nr[a] += amount
         else:  # prior reversible funds arrive via a funder
-            ops.append(("mint", "fund", amount))
-            ops.append(("transfer", "fund", a, amount))
+            _add(ops, "mint", {"to": "fund", "amount": amount})
+            _add(ops, "transfer", {"from": "fund", "to": a, "amount": amount})
             r[a] += amount
     s = rng.randint(1, 100)
-    ops.append(("mint", victim, s))
+    _add(ops, "mint", {"to": victim, "amount": s})
     dispute = len(ops)
-    ops.append(("transfer", victim, addrs[0], s))
+    _add(ops, "transfer", {"from": victim, "to": addrs[0], "amount": s})
     r[addrs[0]] += s
     for _ in range(rng.randint(1, 9)):
         if rng.random() < 0.2:
             block += rng.randint(1, 3)
-            ops.append(("advance", block))
+            _add(ops, "advanceBlock", {"to": block})
             continue
         lows = [i for i in range(count - 1) if r[addrs[i]] > 0 or nr[addrs[i]] > 0]
         if not lows:
@@ -151,7 +163,7 @@ def _spend(rng, ops, r, nr, frm, pick_to, burns) -> None:
     holding both kinds, three times in ten."""
     if burns and r[frm] > 0 and rng.random() < 0.25:
         amount = rng.randint(1, min(r[frm], 100))
-        ops.append(("rburn", frm, amount))
+        _add(ops, "burn", {"from": frm, "amount": amount, "source": BurnSource.REVERSIBLE})
         r[frm] -= amount
         return
     use_r = r[frm] > 0 and (nr[frm] == 0 or rng.random() < 0.7)
@@ -160,29 +172,29 @@ def _spend(rng, ops, r, nr, frm, pick_to, burns) -> None:
         return
     amount = rng.randint(1, min(pool[frm], 100))
     to = pick_to()
-    ops.append(("rtransfer" if use_r else "transfer", frm, to, amount))
+    _add(ops, "rtransfer" if use_r else "transfer", {"from": frm, "to": to, "amount": amount})
     pool[frm] -= amount
     r[to] += amount
 
 
-def _generate_interleaved(rng: random.Random, burns: bool) -> TrialSpec:
+def _generate_interleaved(rng: random.Random, ops: list[ScenarioOp], burns: bool) -> TrialSpec:
     """The disputed recipient drips funds into a hub, which spends between the
     arrivals, so obligations must respect which money was there when."""
     victim, parent, hub = "v", "p", "h"
     m = rng.randint(1, 4)
     sinks = ["b%d" % j for j in range(m)]
-    ops: list[tuple] = []
+    block = 1
     if rng.random() < 0.5:  # optional prior reversible funds at the hub
         prior = rng.randint(1, 30)
-        ops.append(("mint", "fund", prior))
-        ops.append(("transfer", "fund", hub, prior))
+        _add(ops, "mint", {"to": "fund", "amount": prior})
+        _add(ops, "transfer", {"from": "fund", "to": hub, "amount": prior})
         hub_r = prior
     else:
         hub_r = 0
     s = rng.randint(m + 1, 100)
-    ops.append(("mint", victim, s))
+    _add(ops, "mint", {"to": victim, "amount": s})
     dispute = len(ops)
-    ops.append(("transfer", victim, parent, s))
+    _add(ops, "transfer", {"from": victim, "to": parent, "amount": s})
     parent_r = s
     chunks = []
     for _ in range(m + 1):
@@ -191,22 +203,21 @@ def _generate_interleaved(rng: random.Random, burns: bool) -> TrialSpec:
         x = rng.randint(1, max(1, parent_r // 2))
         chunks.append(x)
         parent_r -= x
-    block = 1
     for j, x in enumerate(chunks):
-        ops.append(("rtransfer", parent, hub, x))
+        _add(ops, "rtransfer", {"from": parent, "to": hub, "amount": x})
         hub_r += x
         if j < len(sinks) and hub_r > 0:
             if burns and rng.random() < 0.25:
                 y = rng.randint(1, min(hub_r, 100))
-                ops.append(("rburn", hub, y))
+                _add(ops, "burn", {"from": hub, "amount": y, "source": BurnSource.REVERSIBLE})
                 hub_r -= y
             else:
                 y = rng.randint(1, min(hub_r, 100))
-                ops.append(("rtransfer", hub, sinks[j], y))
+                _add(ops, "rtransfer", {"from": hub, "to": sinks[j], "amount": y})
                 hub_r -= y
         if rng.random() < 0.3:
             block += 1
-            ops.append(("advance", block))
+            _add(ops, "advanceBlock", {"to": block})
     return TrialSpec(ops, dispute, "interleaved", burns)
 
 
@@ -214,28 +225,11 @@ def _generate_interleaved(rng: random.Random, burns: bool) -> TrialSpec:
 
 
 def _replay_on_engine(spec: TrialSpec):
-    ledger = TokenLedger(EpochConfig())
-    engine = FreezeEngine(ledger, GOVERNANCE)
-    ledger.advance_block(1)
-    dispute_ref = None
-    for i, op in enumerate(spec.ops):
-        kind = op[0]
-        if kind == "mint":
-            ledger.mint(op[1], op[2], ledger.current_block)
-        elif kind == "advance":
-            ledger.advance_block(op[1])
-        elif kind == "transfer":
-            ref = ledger.transfer(op[1], op[2], op[3], ledger.current_block)
-            if i == spec.dispute:
-                dispute_ref = ref
-        elif kind == "rtransfer":
-            ledger.rtransfer(op[1], op[2], op[3], ledger.current_block)
-        elif kind == "rburn":
-            ledger.burn(op[1], op[2], ledger.current_block, BurnSource.REVERSIBLE)
-        else:  # pragma: no cover
-            raise AssertionError(kind)
-    assert dispute_ref is not None
-    return ledger, engine, dispute_ref
+    """The trial's ops run by a default-config scenario runner: its ledger,
+    its freeze engine and the disputed transfer's ref."""
+    runner = ScenarioRunner({})
+    results = [runner.dispatch(op) for op in spec.ops]
+    return runner.ledger, runner.freeze, results[spec.dispute]
 
 
 def _trace_raw(spec: TrialSpec):
@@ -251,10 +245,11 @@ def _trace_raw(spec: TrialSpec):
     for i, op in enumerate(spec.ops):
         if i == spec.dispute:
             t0 = len(records)
-        if op[0] == "transfer" or op[0] == "rtransfer":
-            records.append((op[1], op[2], op[3]))
-        elif op[0] == "rburn":
-            records.append((op[1], None, op[2]))
+        p = op.params
+        if op.name in ("transfer", "rtransfer"):
+            records.append((p["from"], p["to"], p["amount"]))
+        elif op.name == "burn":  # trials burn reversible funds only
+            records.append((p["from"], None, p["amount"]))
     arrival = {records[t0][1]: t0}
     edges = []  # (src, dst, amount, seq)
     burned: dict[str, int] = {}
@@ -283,16 +278,17 @@ def reference_freeze(spec: TrialSpec, trace) -> dict[str, int]:
     r: dict[str, int] = {}
     nr: dict[str, int] = {}
     for op in spec.ops:
-        if op[0] == "mint":
-            nr[op[1]] = nr.get(op[1], 0) + op[2]
-        elif op[0] == "transfer":
-            nr[op[1]] -= op[3]
-            r[op[2]] = r.get(op[2], 0) + op[3]
-        elif op[0] == "rtransfer":
-            r[op[1]] -= op[3]
-            r[op[2]] = r.get(op[2], 0) + op[3]
-        elif op[0] == "rburn":
-            r[op[1]] -= op[2]
+        p = op.params
+        if op.name == "mint":
+            nr[p["to"]] = nr.get(p["to"], 0) + p["amount"]
+        elif op.name == "transfer":
+            nr[p["from"]] -= p["amount"]
+            r[p["to"]] = r.get(p["to"], 0) + p["amount"]
+        elif op.name == "rtransfer":
+            r[p["from"]] -= p["amount"]
+            r[p["to"]] = r.get(p["to"], 0) + p["amount"]
+        elif op.name == "burn":
+            r[p["from"]] -= p["amount"]
     records, t0, arrival, edges, burned = trace
     root, demand = records[t0][1], records[t0][2]
 
@@ -345,7 +341,7 @@ def run_and_check(spec: TrialSpec) -> list[str]:
     violations: list[str] = []
 
     def bad(kind: str, detail: str) -> None:
-        violations.append(f"{kind}: {detail} | ops: {_fmt_ops(spec)}")
+        violations.append(trial_text(spec, f"{kind}: {detail}"))
 
     # Demand accounting: frozen + absorbed-by-burns + stranded == demand.
     accounted = plan.total_frozen + plan.total_absorbed + plan.total_residual
@@ -354,9 +350,7 @@ def run_and_check(spec: TrialSpec) -> list[str]:
                         f"+ residual {plan.total_residual} != s {demand}")
     if not spec.burns and plan.total_frozen != demand:
         bad("freezeSum", f"froze {plan.total_frozen} of {demand}")
-    violations.extend(
-        f"{v} | ops: {_fmt_ops(spec)}" for v in _check_obligation_bound(trace, plan, demand)
-    )
+    violations.extend(trial_text(spec, v) for v in _check_obligation_bound(trace, plan, demand))
 
     # Work is linear in the processed graph.
     if plan.nodes_visited > len(plan.to_freeze):
@@ -467,22 +461,26 @@ def _check_obligation_bound(trace, plan, demand: int) -> list[str]:
 SHAPES = ("generic", "layered", "interleaved")
 
 
+def oracle_trials(trials: int, seed: int, burns: str) -> Iterator[TrialSpec]:
+    """The trials `oracle_check(trials, seed, burns)` runs, in its order."""
+    master = random.Random(seed)
+    for index in range(trials):
+        rng = random.Random(master.getrandbits(64))
+        with_burns = burns == "mixed" and rng.random() < 0.3
+        yield generate_trial(rng, SHAPES[index % len(SHAPES)], with_burns)
+
+
 def oracle_check(trials: int, seed: int, burns: str = "mixed") -> dict:
     """Run `trials` random trials; burns is 'none' or 'mixed'.
 
     Deterministic for a given (trials, seed, burns), and the report carries no
     wall-clock data, so its JSON form is byte-stable.
     """
-    master = random.Random(seed)
     violations: list[dict] = []
     shape_counts = dict.fromkeys(SHAPES, 0)
     burn_trials = 0
-    for index in range(trials):
-        rng = random.Random(master.getrandbits(64))
-        shape = SHAPES[index % len(SHAPES)]
-        with_burns = burns == "mixed" and rng.random() < 0.3
-        spec = generate_trial(rng, shape, with_burns)
-        shape_counts[shape] += 1
+    for index, spec in enumerate(oracle_trials(trials, seed, burns)):
+        shape_counts[spec.shape] += 1
         burn_trials += int(spec.burns)
         for violation in run_and_check(spec):
             violations.append({"trial": index, "detail": violation})

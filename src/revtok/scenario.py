@@ -6,8 +6,8 @@ only reader of scenario text: it checks each line and stores each value as
 the type its `OP_KEYS` spec marks.  `config` lines precede every other line
 and are checked when parsed; the runner wires one engine from them, then
 executes the other operations in order.  `expect` lines assert on the state
-reached so far, and any operation may carry `expectError=SomeError` to
-assert that it fails with exactly that error.
+reached so far, and any other operation may carry `expectError=SomeError`
+to assert that it fails with exactly that error.
 
 Replaying a scenario produces a JSON report that is byte-identical across
 runs: the report is a pure function of the scenario text.
@@ -119,7 +119,7 @@ def parse_scenario(text: str) -> list[ScenarioOp]:
                 raise ParseError(
                     f"empty key or value in '{token}'", line_no, raw.find(token) + 1
                 )
-            if key == "expectError":
+            if key == "expectError" and name not in ("config", "expect"):
                 expect_error = value
             elif key in params:
                 raise ParseError(f"duplicate key '{key}'", line_no, raw.find(token) + 1)
@@ -265,22 +265,13 @@ def _parse_config(cfg: dict[str, str]) -> tuple[EpochConfig, FeePolicy]:
 class ScenarioRunner:
     """Executes parsed operations against one freshly wired engine."""
 
-    ledger: TokenLedger
-    freeze: FreezeEngine
-    nft: NftRegistry
-    gov: Governance
-
-    def __init__(self, name: str = "scenario"):
+    def __init__(self, config: dict[str, str], name: str = "scenario"):
+        """Wire one engine from `config`, the merged `config` line keys."""
+        epoch_config, policy = _parse_config(config)
         self.name = name
         self.checks: list[Check] = []
         self.failed_ops: list[dict[str, Any]] = []
         self.clean_reports: list[dict[str, Any]] = []
-
-    # -- running ----------------------------------------------------------------
-
-    def run(self, ops: list[ScenarioOp]) -> RunResult:
-        config = {k: v for op in ops if op.name == "config" for k, v in op.params.items()}
-        epoch_config, policy = _parse_config(config)
         self.ledger = TokenLedger(epoch_config)
         self.freeze = FreezeEngine(self.ledger, governance="governance")
         self.nft = NftRegistry("governance", epoch_config.dispute_window)
@@ -292,6 +283,10 @@ class ScenarioRunner:
             policy,
             identity="governance",
         )
+
+    # -- running ----------------------------------------------------------------
+
+    def run(self, ops: list[ScenarioOp]) -> RunResult:
         for op in ops:
             if op.name != "config":
                 self._run_op(op)
@@ -307,7 +302,7 @@ class ScenarioRunner:
             self.checks.append(self._evaluate_expect(op))
             return
         try:
-            self._dispatch(op)
+            self.dispatch(op)
         except LedgerError as err:
             kind = type(err).__name__
             if op.expect_error is not None:
@@ -327,37 +322,41 @@ class ScenarioRunner:
                 "operation succeeded",
             ))
 
-    def _dispatch(self, op: ScenarioOp) -> None:
+    def dispatch(self, op: ScenarioOp) -> Any:
+        """Run one engine operation; return what its engine call returns."""
         p = op.params
         ledger, block = self.ledger, self.ledger.current_block
         if op.name == "judges":
             for judge in p["ids"]:
                 self.gov.pool.add(judge)
-        elif op.name == "advanceBlock":
-            ledger.advance_block(p["to"])
-        elif op.name == "mint":
-            ledger.mint(p["to"], p["amount"], block)
-        elif op.name == "transfer":
-            ledger.transfer(p["from"], p["to"], p["amount"], block)
-        elif op.name == "rtransfer":
-            ledger.rtransfer(p["from"], p["to"], p["amount"], block)
-        elif op.name == "burn":
-            ledger.burn(p["from"], p["amount"], block, p.get("source", BurnSource.NONREVERSIBLE))
-        elif op.name == "clean":
+            return None
+        if op.name == "advanceBlock":
+            return ledger.advance_block(p["to"])
+        if op.name == "mint":
+            return ledger.mint(p["to"], p["amount"], block)
+        if op.name == "transfer":
+            return ledger.transfer(p["from"], p["to"], p["amount"], block)
+        if op.name == "rtransfer":
+            return ledger.rtransfer(p["from"], p["to"], p["amount"], block)
+        if op.name == "burn":
+            return ledger.burn(p["from"], p["amount"], block,
+                               p.get("source", BurnSource.NONREVERSIBLE))
+        if op.name == "clean":
             report = ledger.clean(p["epoch"], p["senders"], block)
             self.clean_reports.append({"line": op.line, **report.as_dict()})
-        elif op.name == "nftMint":
-            self.nft.mint(p["token"], p["to"], block)
-        elif op.name == "nftTransfer":
-            self.nft.transfer(p["token"], p["to"], block, p.get("from"))
-        elif op.name == "nftClean":
-            self.nft.clean(p["tokens"], block)
-        elif op.name == "submitFreeze":
+            return report
+        if op.name == "nftMint":
+            return self.nft.mint(p["token"], p["to"], block)
+        if op.name == "nftTransfer":
+            return self.nft.transfer(p["token"], p["to"], block, p.get("from"))
+        if op.name == "nftClean":
+            return self.nft.clean(p["tokens"], block)
+        if op.name == "submitFreeze":
             if p["kind"] == "fungible":
                 target = FungibleTarget(SpendRef(p["epoch"], p["from"], p["index"]))
             else:
                 target = NftTarget(p["token"], p["index"])
-            self.gov.submit_freeze_request(
+            return self.gov.submit_freeze_request(
                 claimant=p["claimant"],
                 target=target,
                 stake=p["stake"],
@@ -365,18 +364,17 @@ class ScenarioRunner:
                 evidence=p.get("evidence", ""),
                 beacon_seed=p.get("seed", b"\x00"),
             )
-        elif op.name == "commit":
+        if op.name == "commit":
             if "commitment" in p:
                 commitment = p["commitment"]
             else:
                 commitment = commitment_hash(p["vote"], p["salt"], p["case"])
-            self.gov.cast_commit(p["case"], p["judge"], commitment)
-        elif op.name == "reveal":
-            self.gov.cast_reveal(p["case"], p["judge"], p["vote"], p["salt"])
-        elif op.name == "tally":
-            self.gov.tally(p["case"])
-        else:  # pragma: no cover - parser screens op names
-            raise AssertionError(f"unhandled op {op.name}")
+            return self.gov.cast_commit(p["case"], p["judge"], commitment)
+        if op.name == "reveal":
+            return self.gov.cast_reveal(p["case"], p["judge"], p["vote"], p["salt"])
+        if op.name == "tally":
+            return self.gov.tally(p["case"])
+        raise AssertionError(f"unhandled op {op.name}")  # pragma: no cover - parser screens names
 
     # -- expectations -----------------------------------------------------------
 
@@ -549,4 +547,6 @@ class ScenarioRunner:
 
 
 def run_scenario_text(text: str, name: str = "scenario") -> RunResult:
-    return ScenarioRunner(name).run(parse_scenario(text))
+    ops = parse_scenario(text)
+    config = {k: v for op in ops if op.name == "config" for k, v in op.params.items()}
+    return ScenarioRunner(config, name).run(ops)

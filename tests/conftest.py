@@ -18,7 +18,6 @@ from revtok import (
     Vote,
     commitment_hash,
 )
-from revtok.oracle import SHAPES, generate_trial
 
 GOV = "governance"
 
@@ -92,14 +91,6 @@ def random_dag(nodes: int, edges: int, seed: int) -> tuple[TransferGraph, dict[s
     for out in graph.out.values():
         out.reverse()
     return graph, {name: 0 for name in names}
-
-
-def oracle_trials(trials: int, seed: int):
-    """The trial specs `oracle_check(trials, seed, "mixed")` runs, in its order."""
-    master = random.Random(seed)
-    for index in range(trials):
-        rng = random.Random(master.getrandbits(64))
-        yield generate_trial(rng, SHAPES[index % len(SHAPES)], rng.random() < 0.3)
 
 
 @pytest.fixture

@@ -17,9 +17,9 @@ from revtok import (
 )
 from revtok import SpendLog, freeze
 from revtok.freeze import build_graph, eliminate_cycles
-from revtok.oracle import _replay_on_engine
+from revtok.oracle import _replay_on_engine, oracle_trials
 
-from conftest import GOV, make_engine, make_ledger, oracle_trials
+from conftest import GOV, make_engine, make_ledger
 from test_calc_freeze import plan_for
 
 
@@ -289,7 +289,7 @@ def no_trace(monkeypatch):
 
 def test_oracle_trials_freeze_as_a_full_trace_would(build_calls):
     covered = 0
-    for spec in oracle_trials(10000, 41):
+    for spec in oracle_trials(10000, 41, "mixed"):
         led, eng, ref = _replay_on_engine(spec)
         before = len(build_calls)
         _, shortcut = freeze_like_traced(led, eng, ref, led.log.resolve(ref).sender)

@@ -22,9 +22,7 @@ import pytest
 
 from revtok.cli import main as cli_main
 from revtok.freeze import build_graph, eliminate_cycles
-from revtok.oracle import GOVERNANCE, _replay_on_engine
-
-from conftest import oracle_trials
+from revtok.oracle import GOVERNANCE, _replay_on_engine, oracle_trials
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -72,7 +70,7 @@ def trial_digest(trials: int, seed: int) -> str:
     """Hash every trial's traced graph and freeze plan, in the order
     `oracle_check(trials, seed, "mixed")` generates them."""
     digest = hashlib.sha256()
-    for spec in oracle_trials(trials, seed):
+    for spec in oracle_trials(trials, seed, "mixed"):
         ledger, engine, ref = _replay_on_engine(spec)
         victim = ledger.log.resolve(ref).sender
         graph = eliminate_cycles(

@@ -10,6 +10,7 @@ from revtok import (
     CommitMismatchError,
     DoubleVoteError,
     FeePolicy,
+    FrozenAssetError,
     FungibleTarget,
     InsufficientStakeError,
     InvalidDisputeError,
@@ -224,6 +225,11 @@ def _hop_window_over(led, nft):
     return "a", NftTarget(1, 0)
 
 
+def _token_already_frozen(led, nft):
+    nft.freeze(1, 0, "a", led.current_block, nft.governance)
+    return "a", NftTarget(1, 0)
+
+
 @pytest.mark.parametrize("dispute, error", [
     (_dangling_ref, UnknownSpenditureError),
     (_burn_record, InvalidDisputeError),
@@ -234,6 +240,7 @@ def _hop_window_over(led, nft):
     (_hop_cleaned_away, InvalidDisputeError),
     (_not_the_prior_owner, NotAffectedPartyError),
     (_hop_window_over, WindowElapsedError),
+    (_token_already_frozen, FrozenAssetError),
 ], ids=lambda x: getattr(x, "__name__", "").strip("_"))
 def test_submit_and_freeze_refuse_the_same_disputes(dispute, error):
     # window 10 blocks; token 1 went a -> b at block 2
@@ -244,6 +251,7 @@ def test_submit_and_freeze_refuse_the_same_disputes(dispute, error):
     nft.transfer(1, "b", block=2)
     claimant, target = dispute(led, nft)
     held = led.account(claimant).nonreversible
+    frozen = {token_id: token.frozen for token_id, token in nft.tokens.items()}
     with pytest.raises(LedgerError) as submitted:
         gov.submit_freeze_request(claimant, target, 2, tip=1)
     block = led.current_block
@@ -256,7 +264,7 @@ def test_submit_and_freeze_refuse_the_same_disputes(dispute, error):
     assert led.account(claimant).nonreversible == held
     assert led.account(gov.escrow).nonreversible == 0
     assert gov.cases == {} and eng.claims == {}
-    assert not any(token.frozen for token in nft.tokens.values())
+    assert {token_id: token.frozen for token_id, token in nft.tokens.items()} == frozen
 
 
 def test_submit_needs_a_big_enough_pool():

@@ -2,15 +2,20 @@ from __future__ import annotations
 
 import random
 
+from revtok.cli import main as cli_main
 from revtok.oracle import (
     SHAPES,
+    _replay_on_engine,
     _trace_raw,
     generate_trial,
     oracle_check,
     oracle_report_json,
+    oracle_trials,
     reference_freeze,
     run_and_check,
+    trial_text,
 )
+from revtok.scenario import parse_scenario, run_scenario_text
 
 
 def test_every_shape_generates_and_checks_clean():
@@ -69,23 +74,25 @@ def test_trials_stay_within_the_advertised_bounds():
             addresses = set()
             transfers = 0
             for op in spec.ops:
-                if op[0] in ("transfer", "rtransfer"):
-                    addresses.update((op[1], op[2]))
+                p = op.params
+                if op.name in ("transfer", "rtransfer"):
+                    addresses.update((p["from"], p["to"]))
                     transfers += 1
-                    assert 1 <= op[3] <= 100
-                elif op[0] == "mint":
-                    addresses.add(op[1])
-                    assert 1 <= op[2] <= 100
-                elif op[0] == "rburn":
-                    addresses.add(op[1])
-                    assert 1 <= op[2] <= 100
+                    assert 1 <= p["amount"] <= 100
+                elif op.name == "mint":
+                    addresses.add(p["to"])
+                    assert 1 <= p["amount"] <= 100
+                elif op.name == "burn":
+                    addresses.add(p["from"])
+                    assert 1 <= p["amount"] <= 100
             assert len(addresses) <= 8, spec.ops
             assert transfers <= 15, spec.ops
 
 
-def test_oracle_catches_a_broken_engine(monkeypatch):
+def test_oracle_catches_a_broken_engine(monkeypatch, tmp_path):
     # sanity: the checker is not vacuous.  Sabotage the freeze calculation
-    # and the identity invariant must start failing.
+    # and the identity invariant must start failing; what it reports is the
+    # failing trial as a scenario `revtok replay` runs.
     from revtok import freeze as freeze_mod
     from revtok import oracle as oracle_mod
 
@@ -102,11 +109,39 @@ def test_oracle_catches_a_broken_engine(monkeypatch):
     monkeypatch.setattr(oracle_mod, "calc_freeze", lying_calc, raising=False)
     monkeypatch.setattr(freeze_mod, "calc_freeze", lying_calc)
     rng = random.Random(3)
-    violations = []
+    reported = []
     for _ in range(40):
         spec = generate_trial(rng, "generic", burns=False)
-        violations.extend(run_and_check(spec))
-    assert violations  # at least one trial trips the invariants
+        reported.extend((spec, violation) for violation in run_and_check(spec))
+    assert reported  # at least one trial trips the invariants
+    spec, violation = reported[0]
+    assert violation.startswith("# ") and parse_scenario(violation) == spec.ops
+    scenario = tmp_path / "violation.scn"
+    scenario.write_text(violation)
+    assert cli_main(["replay", str(scenario), "--out", str(tmp_path / "report.json")]) == 0
+
+
+def test_trial_text_replays_the_trial():
+    # the text a violation carries parses back to its trial's ops, and the
+    # scenario runner reaches the state the oracle's own replay reaches
+    for spec in oracle_trials(3000, 41, "mixed"):
+        text = trial_text(spec, "finding")
+        assert parse_scenario(text) == spec.ops
+        result = run_scenario_text(text)
+        assert result.exit_code == 0
+        ledger, _engine, _ref = _replay_on_engine(spec)
+        assert result.report["accounts"] == {
+            addr: {"reversible": acct.reversible, "nonreversible": acct.nonreversible,
+                   "frozen": acct.frozen}
+            for addr, acct in sorted(ledger.accounts.items())
+        }
+        assert [
+            (s["epoch"], s["sender"], s["index"], s["to"], s["amount"], s["seq"])
+            for s in result.report["spends"]
+        ] == [
+            (ref.epoch, ref.sender, ref.index, rec.to, rec.amount, rec.seq)
+            for ref, rec in ledger.log.all_records()
+        ]
 
 
 def test_oracle_catches_an_inflated_edge_obligation():

@@ -115,6 +115,8 @@ def test_enum_fields_are_validated():
     "expect kind=nftFrozen token=1 value=yes",  # a boolean is true or false
     "mint to=a amount=1,2",  # a key without `*` holds exactly one integer
     "mint to=a amount=,",
+    "config delta=5 expectError=Nope",  # config and expect lines cannot fail
+    "expect kind=balance addr=a nr=1 expectError=Nope",
 ])
 def test_unknown_vacuous_and_malformed_keys_fail(line):
     with pytest.raises(ParseError):
