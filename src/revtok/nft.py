@@ -102,21 +102,6 @@ class NftRegistry:
             )
         token.owners.append(OwnerRecord(to, block))
 
-    def owner_of(self, token_id: int) -> Address:
-        return self._token(token_id).current_owner
-
-    def history(self, token_id: int) -> list[OwnerRecord]:
-        return list(self._token(token_id).owners)
-
-    def disputable_indexes(self, token_id: int, current_block: int) -> list[int]:
-        """Indexes i whose i -> i+1 transfer is still inside the window."""
-        token = self._token(token_id)
-        return [
-            token.dropped + i
-            for i in range(len(token.owners) - 1)
-            if current_block - token.owners[i + 1].block <= self.dispute_window
-        ]
-
     def disputed_owner(
         self, token_id: int, index: int, claimant: Address, current_block: int
     ) -> Address:

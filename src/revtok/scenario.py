@@ -6,7 +6,8 @@ only reader of scenario text: it checks each line and stores each value as
 the type its `OP_KEYS` spec marks.  `config` lines precede every other line
 and are checked when parsed; the runner wires one engine from them, then
 executes the other operations in order.  `expect` lines assert on the state
-reached so far, and any other operation may carry `expectError=SomeError`
+reached so far, read from `ScenarioRunner.state()`, the view that fills the
+report's state blocks; any other operation may carry `expectError=SomeError`
 to assert that it fails with exactly that error.
 
 Replaying a scenario produces a JSON report that is byte-identical across
@@ -20,8 +21,15 @@ import re
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import LedgerError, ParseError, UnknownClaimError
-from .freeze import Claim, FreezeEngine
+from .errors import (
+    LedgerError,
+    ParseError,
+    UnknownCaseError,
+    UnknownClaimError,
+    UnknownSpenditureError,
+    UnknownTokenError,
+)
+from .freeze import FreezeEngine
 from .governance import (
     FeePolicy,
     FungibleTarget,
@@ -85,6 +93,8 @@ _MARKS = "#*%!?"
 _CHOICES = {"source": BurnSource, "vote": Vote}
 # A `#` at line start or after whitespace starts a comment.
 _COMMENT = re.compile(r"(?:^|\s)#")
+# An address the ledger holds no account for reads as zeros.
+_NO_ACCOUNT = {"reversible": 0, "nonreversible": 0, "frozen": 0}
 
 
 @dataclass
@@ -209,14 +219,6 @@ def _typed(key: str, word: str, value: str, line: int, column: int) -> Any:
 
 
 @dataclass
-class Check:
-    line: int
-    label: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass
 class RunResult:
     report: dict[str, Any]
     exit_code: int
@@ -269,7 +271,8 @@ class ScenarioRunner:
         """Wire one engine from `config`, the merged `config` line keys."""
         epoch_config, policy = _parse_config(config)
         self.name = name
-        self.checks: list[Check] = []
+        # The run blocks of the report, kept in report form as they happen.
+        self.checks: list[dict[str, Any]] = []
         self.failed_ops: list[dict[str, Any]] = []
         self.clean_reports: list[dict[str, Any]] = []
         self.ledger = TokenLedger(epoch_config)
@@ -293,34 +296,34 @@ class ScenarioRunner:
         return RunResult(self._report(ops), self._exit_code())
 
     def _exit_code(self) -> int:
-        if self.failed_ops or any(not c.passed for c in self.checks):
+        if self.failed_ops or any(not c["pass"] for c in self.checks):
             return 1
         return 0
 
     def _run_op(self, op: ScenarioOp) -> None:
         if op.name == "expect":
-            self.checks.append(self._evaluate_expect(op))
+            self._check(op.line, op.label, self._evaluate_expect(op))
             return
         try:
             self.dispatch(op)
         except LedgerError as err:
             kind = type(err).__name__
             if op.expect_error is not None:
-                self.checks.append(Check(
+                self._check(
                     op.line, f"{op.name} raises {op.expect_error}",
-                    kind == op.expect_error,
                     "" if kind == op.expect_error else f"raised {kind}: {err}",
-                ))
+                )
             else:
                 self.failed_ops.append(
                     {"line": op.line, "op": op.name, "error": kind, "message": str(err)}
                 )
             return
         if op.expect_error is not None:
-            self.checks.append(Check(
-                op.line, f"{op.name} raises {op.expect_error}", False,
-                "operation succeeded",
-            ))
+            self._check(op.line, f"{op.name} raises {op.expect_error}", "operation succeeded")
+
+    def _check(self, line: int, label: str, detail: str) -> None:
+        """Record a check; it passes when `detail`, what went wrong, is empty."""
+        self.checks.append({"line": line, "label": label, "pass": not detail, "detail": detail})
 
     def dispatch(self, op: ScenarioOp) -> Any:
         """Run one engine operation; return what its engine call returns."""
@@ -378,11 +381,12 @@ class ScenarioRunner:
 
     # -- expectations -----------------------------------------------------------
 
-    def _evaluate_expect(self, op: ScenarioOp) -> Check:
+    def _evaluate_expect(self, op: ScenarioOp) -> str:
+        """The expect line's failures, joined; empty when it passes."""
         p = op.params
         failures: list[str] = []
         try:
-            facts = self._expect_facts(p)
+            facts = _view_facts(self.state(), p)
         except LedgerError as err:
             facts, failures = {}, [f"{type(err).__name__}: {err}"]
         for key, actual in facts.items():
@@ -396,62 +400,15 @@ class ScenarioRunner:
                 continue
             if actual != p[key]:
                 failures.append(f"{key}: expected {p[key]}, got {actual}")
-        return Check(op.line, op.label, not failures, "; ".join(failures))
+        return "; ".join(failures)
 
-    def _expect_facts(self, p: dict[str, Any]) -> dict[str, Any]:
-        """What an expect line of kind p["kind"] can compare, under the
-        compared key names its OP_KEYS spec gives."""
-        kind = p["kind"]
-        if kind == "balance":
-            acct = self.ledger.account(p["addr"])
-            return {
-                "r": acct.reversible,
-                "nr": acct.nonreversible,
-                "frozen": acct.frozen,
-                "available": acct.available,
-            }
-        if kind == "supply":
-            return {
-                "minted": self.ledger.total_minted,
-                "burned": self.ledger.total_burned,
-                "circulating": self.ledger.circulating(),
-            }
-        if kind == "spend":
-            record = self.ledger.log.resolve(SpendRef(p["epoch"], p["from"], p["index"]))
-            return {"amount": record.amount, "original": record.original_amount}
-        if kind == "phase":
-            return {"value": self.gov._case(p["case"]).phase.value}
-        if kind.startswith("nft"):
-            token = self.nft._token(p["token"])
-            if kind == "nftOwner":
-                return {"owner": token.current_owner}
-            if kind == "nftFrozen":
-                return {"value": token.frozen}
-            return {"length": len(token.owners)}  # nftHistory
-        claim = self._pick_claim(p.get("claim", "last"))
-        if kind == "edge":
-            return {"value": [
-                edge.value for edge, _ in claim.plan.per_edge
-                if (edge.src, edge.dst) == (p["src"], p["dst"])
-            ]}
-        if kind == "claimStatus":
-            return {"value": claim.status.value}
-        if kind == "freeze":
-            return {"amount": claim.plan.to_freeze.get(p["addr"], 0)}
-        if kind == "oblig":
-            return {"amount": claim.plan.obligations.get(p["addr"], 0)}
-        return {"amount": claim.plan.total_frozen}  # freezeTotal
+    # -- state view and report ------------------------------------------------
 
-    def _pick_claim(self, selector: int | str) -> Claim:
-        claims = list(self.freeze.claims.values())
-        index = len(claims) - 1 if selector == "last" else selector - 1
-        if not 0 <= index < len(claims):
-            raise UnknownClaimError(f"no claim matches selector '{selector}'")
-        return claims[index]
-
-    # -- report ---------------------------------------------------------------
-
-    def _report(self, ops: list[ScenarioOp]) -> dict[str, Any]:
+    def state(self) -> dict[str, Any]:
+        """The report's state blocks: `currentBlock`, `accounts`, `supply`,
+        `spends`, `claims`, `cases` and `nfts`.  The report and every `expect`
+        line read engine state only through this view, built when one of them
+        needs it; `dispatch` never builds it."""
         accounts = {
             addr: {
                 "reversible": acct.reversible,
@@ -473,7 +430,6 @@ class ScenarioRunner:
             }
             for ref, rec in self.ledger.log.all_records()
         ]
-        filed = list(self.freeze.claims.values())
         claims = [
             {
                 "id": claim.claim_id,
@@ -491,7 +447,7 @@ class ScenarioRunner:
                 "totalFrozen": claim.plan.total_frozen,
                 "perEdge": [[e.src, e.dst, e.value, e.seq, ob] for e, ob in claim.plan.per_edge],
             }
-            for claim in filed
+            for claim in self.freeze.claims.values()
         ]
         cases = []
         for case_id in sorted(self.gov.cases):
@@ -518,13 +474,7 @@ class ScenarioRunner:
             }
             for token_id, token in sorted(self.nft.tokens.items())
         }
-        stats = {
-            "nodesVisited": sum(claim.plan.nodes_visited for claim in filed),
-            "edgesTouched": sum(claim.plan.edges_touched for claim in filed),
-        }
         return {
-            "scenario": self.name,
-            "ops": len(ops),
             "currentBlock": self.ledger.current_block,
             "accounts": accounts,
             "supply": {
@@ -536,14 +486,76 @@ class ScenarioRunner:
             "claims": claims,
             "cases": cases,
             "nfts": nfts,
-            "cleans": self.clean_reports,
-            "checks": [
-                {"line": c.line, "label": c.label, "pass": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-            "failedOps": self.failed_ops,
-            "stats": stats,
         }
+
+    def _report(self, ops: list[ScenarioOp]) -> dict[str, Any]:
+        return {
+            "scenario": self.name,
+            "ops": len(ops),
+            **self.state(),
+            "cleans": self.clean_reports,
+            "checks": self.checks,
+            "failedOps": self.failed_ops,
+            "stats": {
+                "nodesVisited": sum(c.plan.nodes_visited for c in self.freeze.claims.values()),
+                "edgesTouched": sum(c.plan.edges_touched for c in self.freeze.claims.values()),
+            },
+        }
+
+
+def _view_facts(view: dict[str, Any], p: dict[str, Any]) -> dict[str, Any]:
+    """What an expect line of kind p["kind"] can compare, read from one path
+    of the state view, under the compared key names its OP_KEYS spec gives.  A
+    case, token, spend or claim the view lacks raises the engine's error."""
+    kind = p["kind"]
+    if kind == "balance":
+        acct = view["accounts"].get(p["addr"], _NO_ACCOUNT)
+        return {
+            "r": acct["reversible"],
+            "nr": acct["nonreversible"],
+            "frozen": acct["frozen"],
+            "available": acct["reversible"] - acct["frozen"],
+        }
+    if kind == "supply":
+        return view["supply"]
+    if kind == "spend":
+        ref = SpendRef(p["epoch"], p["from"], p["index"])
+        for row in view["spends"]:
+            if (row["epoch"], row["sender"], row["index"]) == ref:
+                return {"amount": row["amount"], "original": row["original"]}
+        raise UnknownSpenditureError(f"no record at {ref}")
+    if kind == "phase":
+        for case in view["cases"]:
+            if case["id"] == p["case"]:
+                return {"value": case["phase"]}
+        raise UnknownCaseError(f"case {p['case']}")
+    if kind.startswith("nft"):
+        token = view["nfts"].get(str(p["token"]))
+        if token is None:
+            raise UnknownTokenError(f"token {p['token']}")
+        if kind == "nftOwner":
+            return {"owner": token["owners"][-1][0]}
+        if kind == "nftFrozen":
+            return {"value": token["frozen"]}
+        return {"length": len(token["owners"])}  # nftHistory
+    claims = view["claims"]
+    selector = p.get("claim", "last")
+    index = len(claims) - 1 if selector == "last" else selector - 1
+    if not 0 <= index < len(claims):
+        raise UnknownClaimError(f"no claim matches selector '{selector}'")
+    claim = claims[index]
+    if kind == "edge":
+        return {"value": [
+            value for src, dst, value, _seq, _ob in claim["perEdge"]
+            if (src, dst) == (p["src"], p["dst"])
+        ]}
+    if kind == "claimStatus":
+        return {"value": claim["status"]}
+    if kind == "freeze":
+        return {"amount": claim["toFreeze"].get(p["addr"], 0)}
+    if kind == "oblig":
+        return {"amount": claim["obligations"].get(p["addr"], 0)}
+    return {"amount": claim["totalFrozen"]}  # freezeTotal
 
 
 def run_scenario_text(text: str, name: str = "scenario") -> RunResult:

@@ -62,6 +62,17 @@ def vote_round(gov: Governance, case_id: int, votes: dict[str, Vote], salt_base:
     return gov.tally(case_id)
 
 
+def disputable_indexes(reg: NftRegistry, token_id: int, current_block: int) -> list[int]:
+    """Indexes i whose i -> i+1 transfer of the token is still inside the
+    registry's dispute window."""
+    token = reg.tokens[token_id]
+    return [
+        token.dropped + i
+        for i in range(len(token.owners) - 1)
+        if current_block - token.owners[i + 1].block <= reg.dispute_window
+    ]
+
+
 def random_dag(nodes: int, edges: int, seed: int) -> tuple[TransferGraph, dict[str, int]]:
     """A rooted random DAG with every node reachable from the root, built
     directly (bypassing the log and graph construction) to measure calc_freeze

@@ -22,8 +22,8 @@ from test_freeze_graph import all_simple_cycles, edge, has_cycle, manual_graph
 
 from revtok import NftRegistry, SpendRef, calc_freeze, eliminate_cycles
 from revtok.oracle import SHAPES, generate_trial, oracle_check, run_and_check
-from revtok.oracle import GOVERNANCE, _replay_on_engine
-from revtok.scenario import run_scenario_text
+from revtok.oracle import GOVERNANCE
+from revtok.scenario import ScenarioRunner, run_scenario_text
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -212,22 +212,13 @@ def test_criterion_7_work_is_linear_at_desk_scale():
 # -- 8: cross-cutting invariants ------------------------------------------------
 
 
-def _ledger_snapshot(led):
-    return (
-        tuple(
-            sorted(
-                (a, acct.reversible, acct.nonreversible, acct.frozen)
-                for a, acct in led.accounts.items()
-            )
-        ),
-        tuple(
-            (ref.epoch, ref.sender, ref.index, rec.to, rec.amount, rec.block)
-            for ref, rec in led.log.all_records()
-        ),
-        led.total_minted,
-        led.total_burned,
-        led.current_block,
-    )
+def _dispatched(spec):
+    """A default-config scenario runner that has dispatched the trial's ops,
+    and the disputed transfer's ref.  Its `state()` is what the fuzzes below
+    compare: every account, spend, claim and case, the supply and the clock."""
+    runner = ScenarioRunner({})
+    results = [runner.dispatch(op) for op in spec.ops]
+    return runner, results[spec.dispute]
 
 
 def _fuzz_engine_trials(violations: list[str]) -> None:
@@ -241,19 +232,20 @@ def _fuzz_clean_idempotence(violations: list[str]) -> None:
     rng = random.Random(78)
     for t in range(40):
         spec = generate_trial(random.Random(rng.getrandbits(64)), "generic", burns=True)
-        led, _engine, _ref = _replay_on_engine(spec)
+        runner, _ref = _dispatched(spec)
+        led = runner.ledger
         led.advance_block(led.current_block + led.config.dispute_window + 1)
         buckets = sorted({(ref.epoch, ref.sender) for ref, _ in led.log.all_records()})
         epochs = sorted({e for e, _ in buckets})
         for epoch in epochs:
             led.clean(epoch, [s for e, s in buckets if e == epoch], led.current_block)
-        first = _ledger_snapshot(led)
+        first = runner.state()
         total_after_first = sum(
             acct.reversible + acct.nonreversible for acct in led.accounts.values()
         )
         for epoch in epochs:
             led.clean(epoch, [s for e, s in buckets if e == epoch], led.current_block)
-        if _ledger_snapshot(led) != first:
+        if runner.state() != first:
             violations.append(f"clean not idempotent on trial {t}")
         total = sum(acct.reversible + acct.nonreversible for acct in led.accounts.values())
         if total != total_after_first:
@@ -272,9 +264,9 @@ def _fuzz_nft_freezability(violations: list[str]) -> None:
             reg.transfer(1, f"a{i + 1}", block=block)
         now = block + rng.randrange(0, 2 * window)
         token = reg._token(1)
-        before = {(i, token.record(i + 1)) for i in reg.disputable_indexes(1, now)}
+        before = {(i, token.record(i + 1)) for i in conftest.disputable_indexes(reg, 1, now)}
         reg.clean([1], current_block=now)
-        after = {(i, token.record(i + 1)) for i in reg.disputable_indexes(1, now)}
+        after = {(i, token.record(i + 1)) for i in conftest.disputable_indexes(reg, 1, now)}
         if before != after:
             violations.append(f"nft clean lost a freezable hop on trial {t}")
 
@@ -283,7 +275,8 @@ def _fuzz_atomicity(violations: list[str]) -> None:
     rng = random.Random(80)
     for t in range(100):
         spec = generate_trial(random.Random(rng.getrandbits(64)), "generic", burns=False)
-        led, engine, ref = _replay_on_engine(spec)
+        runner, ref = _dispatched(spec)
+        led, engine = runner.ledger, runner.freeze
         accounts = sorted(led.accounts)
         frm = rng.choice(accounts)
         acct = led.accounts[frm]
@@ -299,11 +292,11 @@ def _fuzz_atomicity(violations: list[str]) -> None:
             lambda: engine.reject_reverse("deadbeef" * 8, GOVERNANCE),
         ]
         attempt = rng.choice(doomed)
-        snap = (_ledger_snapshot(led), len(engine.claims))
+        snap = runner.state()
         try:
             attempt()
         except Exception:
-            if (_ledger_snapshot(led), len(engine.claims)) != snap:
+            if runner.state() != snap:
                 violations.append(f"failed call left residue on trial {t}")
         else:
             violations.append(f"doomed call succeeded on trial {t}")

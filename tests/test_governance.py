@@ -393,7 +393,7 @@ def test_nft_freeze_failure_dismisses():
     out = vote_round(gov, cid, {judges[0]: Vote.APPROVE})
     assert out.phase_after is Phase.CLOSED_DISMISSED
     assert not nft.tokens[1].frozen
-    assert nft.owner_of(1) == "b"
+    assert nft.tokens[1].current_owner == "b"
 
 
 def test_nft_case_full_reverse():
@@ -405,7 +405,7 @@ def test_nft_case_full_reverse():
     vote_round(gov, cid, {judges[0]: Vote.APPROVE})
     assert nft.tokens[1].frozen
     vote_round(gov, cid, {judges[0]: Vote.APPROVE}, salt_base=50)
-    assert nft.owner_of(1) == "a"
+    assert nft.tokens[1].current_owner == "a"
     assert not nft.tokens[1].frozen
 
 
@@ -424,7 +424,7 @@ def test_second_case_on_a_frozen_nft_is_dismissed():
     assert gov.cases[first].phase is Phase.TRIAL
     assert nft.tokens[1].frozen
     vote_round(gov, first, {judges[0]: Vote.APPROVE}, salt_base=50)
-    assert nft.owner_of(1) == "a"
+    assert nft.tokens[1].current_owner == "a"
     assert not nft.tokens[1].frozen
     assert led.account(gov.escrow).nonreversible == 0
 

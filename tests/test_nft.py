@@ -18,6 +18,8 @@ from revtok import (
     WindowElapsedError,
 )
 
+from conftest import disputable_indexes
+
 GOV = "governance"
 
 
@@ -28,14 +30,14 @@ def make_registry(window: int = 100) -> NftRegistry:
 def test_mint_and_transfer():
     reg = make_registry()
     reg.mint(1, "a", block=1)
-    assert reg.owner_of(1) == "a"
+    assert reg.tokens[1].current_owner == "a"
     reg.transfer(1, "b", block=5)
-    assert reg.owner_of(1) == "b"
-    assert [(r.owner, r.block) for r in reg.history(1)] == [("a", 1), ("b", 5)]
+    assert reg.tokens[1].current_owner == "b"
+    assert [(r.owner, r.block) for r in reg.tokens[1].owners] == [("a", 1), ("b", 5)]
     with pytest.raises(DuplicateTokenError):
         reg.mint(1, "c", block=6)
     with pytest.raises(UnknownTokenError):
-        reg.owner_of(99)
+        reg.transfer(99, "c", block=6)
 
 
 def test_transfer_guards():
@@ -56,11 +58,11 @@ def test_freeze_blocks_transfers_until_reverse():
     with pytest.raises(FrozenAssetError):
         reg.transfer(1, "c", block=21)
     reg.reverse(1, 0, current_block=30, caller=GOV)
-    assert reg.owner_of(1) == "a"
-    assert reg.history(1)[-1].block == 30
+    assert reg.tokens[1].current_owner == "a"
+    assert reg.tokens[1].owners[-1].block == 30
     assert not reg._token(1).frozen
     reg.transfer(1, "c", block=31)
-    assert reg.owner_of(1) == "c"
+    assert reg.tokens[1].current_owner == "c"
 
 
 def test_freeze_failure_modes_raise():
@@ -99,8 +101,8 @@ def test_reject_reverse_unfreezes_in_place():
     reg.freeze(1, 0, "a", current_block=3, caller=GOV)
     reg.reject_reverse(1, caller=GOV)
     assert not reg._token(1).frozen
-    assert reg.owner_of(1) == "b"
-    assert len(reg.history(1)) == 2
+    assert reg.tokens[1].current_owner == "b"
+    assert len(reg.tokens[1].owners) == 2
 
 
 def test_disputable_indexes():
@@ -109,8 +111,8 @@ def test_disputable_indexes():
     reg.transfer(1, "b", block=10)
     reg.transfer(1, "c", block=40)
     # at block 70 the hop at 10 is stale (70-10 > 50) but 40 is disputable
-    assert reg.disputable_indexes(1, current_block=70) == [1]
-    assert reg.disputable_indexes(1, current_block=40) == [0, 1]
+    assert disputable_indexes(reg, 1, current_block=70) == [1]
+    assert disputable_indexes(reg, 1, current_block=40) == [0, 1]
 
 
 def test_clean_keeps_window_relevant_suffix():
@@ -122,7 +124,7 @@ def test_clean_keeps_window_relevant_suffix():
     # (a,1) fell out: its successor hop at 10 is older than the window.
     # (b,10) stays: the hop away from b at block 100 is still disputable.
     assert (res.token_id, res.dropped) == (1, 1)
-    assert [(r.owner, r.block) for r in reg.history(1)] == [("b", 10), ("c", 100)]
+    assert [(r.owner, r.block) for r in reg.tokens[1].owners] == [("b", 10), ("c", 100)]
     again = reg.clean([1], current_block=120)[0]
     assert again.dropped == 0
 
@@ -133,12 +135,12 @@ def test_indexes_survive_clean():
     for owner, block in (("b", 2), ("c", 3), ("d", 4), ("e", 14)):
         reg.transfer(1, owner, block=block)
     assert reg.clean([1], current_block=14)[0].dropped == 2
-    assert reg.disputable_indexes(1, current_block=14) == [2, 3]
+    assert disputable_indexes(reg, 1, current_block=14) == [2, 3]
     with pytest.raises(InvalidDisputeError):  # cleaned away
         reg.freeze(1, 1, "b", current_block=14, caller=GOV)
     reg.freeze(1, 2, "c", current_block=14, caller=GOV)
     reg.reverse(1, 2, current_block=15, caller=GOV)
-    assert reg.owner_of(1) == "c"
+    assert reg.tokens[1].current_owner == "c"
 
 
 def test_clean_skips_frozen_tokens():
@@ -148,7 +150,7 @@ def test_clean_skips_frozen_tokens():
     reg.freeze(1, 0, "a", current_block=5, caller=GOV)
     res = reg.clean([1], current_block=500)[0]
     assert (res.status, res.reason) == ("skipped", "frozen")
-    assert len(reg.history(1)) == 2
+    assert len(reg.tokens[1].owners) == 2
 
 
 def test_clean_preserves_freezability():
@@ -165,7 +167,7 @@ def test_clean_preserves_freezability():
             reg.transfer(1, f"a{i + 1}", block=block)
         now = block + rng.randrange(0, 2 * window)
         token = reg._token(1)
-        before = {(i, token.record(i + 1)) for i in reg.disputable_indexes(1, now)}
+        before = {(i, token.record(i + 1)) for i in disputable_indexes(reg, 1, now)}
         reg.clean([1], current_block=now)
-        after = {(i, token.record(i + 1)) for i in reg.disputable_indexes(1, now)}
+        after = {(i, token.record(i + 1)) for i in disputable_indexes(reg, 1, now)}
         assert before == after, trial

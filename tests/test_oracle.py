@@ -15,7 +15,7 @@ from revtok.oracle import (
     run_and_check,
     trial_text,
 )
-from revtok.scenario import parse_scenario, run_scenario_text
+from revtok.scenario import ScenarioRunner, parse_scenario, run_scenario_text
 
 
 def test_every_shape_generates_and_checks_clean():
@@ -171,3 +171,19 @@ def test_oracle_catches_an_inflated_edge_obligation():
         tripped += 1
     assert tripped > 10
 
+
+def test_oracle_never_builds_the_state_view(monkeypatch):
+    # the oracle only dispatches ops, so it must not pay for the report view
+    calls = []
+    state = ScenarioRunner.state
+
+    def counted(self):
+        calls.append(self)
+        return state(self)
+
+    monkeypatch.setattr(ScenarioRunner, "state", counted)
+    run_scenario_text("mint to=a amount=1\nexpect kind=supply minted=1\n")
+    assert len(calls) == 2  # one expect line and the final report: the counter counts
+    calls.clear()
+    oracle_check(200, 41)
+    assert calls == []

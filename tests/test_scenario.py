@@ -223,6 +223,60 @@ def test_golden_scenarios_pass(path):
     assert res.exit_code == 0
 
 
+def report_facts(report: dict) -> list[str]:
+    """One expect line per fact in the report's state blocks."""
+    lines = [
+        f"expect kind=balance addr={addr} r={a['reversible']} nr={a['nonreversible']} "
+        f"frozen={a['frozen']} available={a['reversible'] - a['frozen']}"
+        for addr, a in report["accounts"].items()
+    ]
+    supply = report["supply"]
+    lines.append(f"expect kind=supply minted={supply['minted']} burned={supply['burned']} "
+                 f"circulating={supply['circulating']}")
+    lines += [
+        f"expect kind=spend epoch={s['epoch']} from={s['sender']} index={s['index']} "
+        f"amount={s['amount']} original={s['original']}"
+        for s in report["spends"]
+    ]
+    lines += [f"expect kind=phase case={c['id']} value={c['phase']}" for c in report["cases"]]
+    for token, nft in report["nfts"].items():
+        lines += [
+            f"expect kind=nftOwner token={token} owner={nft['owners'][-1][0]}",
+            f"expect kind=nftFrozen token={token} value={str(nft['frozen']).lower()}",
+            f"expect kind=nftHistory token={token} length={len(nft['owners'])}",
+        ]
+    for n, claim in enumerate(report["claims"], start=1):
+        lines += [
+            f"expect kind=claimStatus claim={n} value={claim['status']}",
+            f"expect kind=freezeTotal claim={n} amount={claim['totalFrozen']}",
+        ]
+        to_freeze, obligations = claim["toFreeze"], claim["obligations"]
+        for node in sorted(to_freeze.keys() | obligations.keys()):
+            lines += [
+                f"expect kind=freeze claim={n} addr={node} amount={to_freeze.get(node, 0)}",
+                f"expect kind=oblig claim={n} addr={node} amount={obligations.get(node, 0)}",
+            ]
+        lines += [
+            f"expect kind=edge claim={n} src={src} dst={dst} value={value}"
+            for src, dst, value, _seq, _obligation in claim["perEdge"]
+        ]
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.scn")),
+                         ids=lambda p: p.stem)
+def test_expect_lines_agree_with_the_report(path):
+    # every fact the final report shows, asserted by an expect line appended
+    # after the last op, must pass: the checks and the report read one state
+    text = path.read_text()
+    report = run_scenario_text(text, path.stem).report
+    facts = report_facts(report)
+    appended = run_scenario_text(text + "\n" + "\n".join(facts) + "\n", path.stem).report
+    checks = appended["checks"][len(report["checks"]):]
+    assert len(checks) == len(facts)
+    assert [c for c in checks if not c["pass"]] == []
+
+
 # -- command line ------------------------------------------------------------------
 
 
