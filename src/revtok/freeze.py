@@ -162,18 +162,20 @@ def eliminate_cycles(graph: TransferGraph) -> TransferGraph:
 class FreezePlan:
     """Outcome of one freeze computation, before it is applied.
 
-    to_freeze maps every node of the graph the pass ran on to the amount
-    locked there, and obligations maps each such node to the total obligation
-    that reached it.  per_edge pairs every edge the pass touched, in pass
-    order, with the obligation it carried (possibly 0); the edges are the
-    traced graph's own, each holding the spend record that obligation is
-    debited from.  absorbed_by_burn and residual account for obligation
-    that no freeze could cover: coins burned downstream, and obligation
-    stranded where outgoing capacity ran out, so each node's obligation equals
-    its frozen, absorbed and residual amounts plus what its per_edge rows
-    passed on.  edge_count counts the edges of the graph the pass ran on, and
-    edge_iterations every step the pass took over an edge: one per edge in
-    the indegree count, one per edge in the topological release, and
+    Every map lists only positive amounts; an absent node holds 0.
+    to_freeze maps each node to the amount locked there, and obligations
+    maps each node to the total obligation that reached it.  per_edge pairs
+    every edge that carried obligation, in pass order, with that obligation;
+    the edges are the traced graph's own, each holding the spend record that
+    obligation is debited from.  absorbed_by_burn and residual account for
+    obligation that no freeze could cover: coins burned downstream, and
+    obligation stranded where outgoing capacity ran out, so each node's
+    obligation equals its frozen, absorbed and residual amounts plus what its
+    per_edge rows passed on.  nodes_visited counts the nodes the pass popped
+    and edges_touched the edges the obligation walk stepped over, zero-valued
+    ones included.  edge_count counts the edges of the graph the pass ran on,
+    and edge_iterations every step the pass took over an edge: one per edge
+    in the indegree count, one per edge in the topological release, and
     edges_touched in the obligation walk.
     """
 
@@ -221,29 +223,34 @@ def calc_freeze(graph: TransferGraph, demand: int, balance_of) -> FreezePlan:
         for e in edges:
             indegree[e.dst] += 1
     queue = [n for n in adj if indegree[n] == 0]
-    obligations = dict.fromkeys(adj, 0)
-    obligations[graph.root] = demand
+    obligations = plan.obligations
+    if demand:
+        obligations[graph.root] = demand
     head = 0
     while head < len(queue):
         node = queue[head]
         head += 1
         plan.nodes_visited += 1
-        pending = obligations[node]
-        frozen = min(pending, balance_of(node))
-        plan.to_freeze[node] = frozen
-        burn = graph.burned_at.get(node, 0)
-        plan.absorbed_by_burn[node] = min(max(pending - frozen, 0), burn)
-        remaining = pending - frozen - burn
-        if remaining > 0:
+        pending = obligations.get(node)
+        if pending:
+            frozen = min(pending, balance_of(node))
+            absorbed = min(pending - frozen, graph.burned_at.get(node, 0))
+            remaining = pending - frozen - absorbed
             for edge in adj[node]:
+                if not remaining:
+                    break
                 plan.edges_touched += 1
                 passed = min(remaining, edge.value)
-                obligations[edge.dst] += passed
-                plan.per_edge.append((edge, passed))
-                remaining -= passed
-                if remaining <= 0:
-                    break
-        plan.residual[node] = max(remaining, 0)
+                if passed:
+                    obligations[edge.dst] = obligations.get(edge.dst, 0) + passed
+                    plan.per_edge.append((edge, passed))
+                    remaining -= passed
+            if frozen:
+                plan.to_freeze[node] = frozen
+            if absorbed:
+                plan.absorbed_by_burn[node] = absorbed
+            if remaining:
+                plan.residual[node] = remaining
         plan.edge_iterations += len(adj[node])
         for edge in adj[node]:
             indegree[edge.dst] -= 1
@@ -251,7 +258,6 @@ def calc_freeze(graph: TransferGraph, demand: int, balance_of) -> FreezePlan:
                 queue.append(edge.dst)
     assert len(queue) == len(adj), "graph fed to calc_freeze must be acyclic"
     plan.edge_iterations += plan.edge_count + plan.edges_touched
-    plan.obligations = obligations
     return plan
 
 
@@ -266,12 +272,10 @@ class Claim:
     """A filed freeze.
 
     The plan is the claim's only record of what it locked and why: its
-    nonzero to_freeze amounts are what settlement moves or releases, and its
-    nonzero per_edge obligations are the record debits a rejection restores.
-    The claim keeps no copy of the traced graph; only the edges the freeze
-    pass touched stay reachable, through per_edge.  A claim whose disputed
-    recipient covered the demand traced no graph, so its plan's maps hold the
-    root alone.
+    to_freeze amounts are what settlement moves or releases, and its per_edge
+    obligations are the record debits a rejection restores.  The claim keeps
+    no copy of the traced graph; only the edges that carried obligation stay
+    reachable, through per_edge.
     """
 
     claim_id: str
@@ -304,10 +308,13 @@ class FreezeEngine:
         if caller != self.governance:
             raise NotGovernanceError(f"{caller} may not drive the freeze lifecycle")
 
-    def _claim(self, claim_id: str) -> Claim:
+    def _frozen_claim(self, claim_id: str, caller: Address) -> Claim:
+        self._require_governance(caller)
         claim = self.claims.get(claim_id)
         if claim is None:
             raise UnknownClaimError(claim_id)
+        if claim.status is not ClaimStatus.FROZEN:
+            raise ClaimNotFrozenError(f"claim {claim_id} is {claim.status.value}")
         return claim
 
     def disputed_record(self, ref: SpendRef, victim: Address, current_block: int) -> SpendRecord:
@@ -345,7 +352,8 @@ class FreezeEngine:
         built and cycle-cancelled only when the recipient's available
         reversible balance falls short of the demand.  Otherwise the pass runs
         on the recipient alone: no obligation could leave it either way, so
-        every nonzero amount and every record debit is the same.
+        the plan is the one a full trace gives, but for its three graph-size
+        counters.
         """
         self._require_governance(caller)
         record = self.disputed_record(disputed, victim, current_block)
@@ -364,14 +372,12 @@ class FreezeEngine:
 
         # All validation is done; apply.
         for addr, amount in plan.to_freeze.items():
-            if amount > 0:
-                acct = self.ledger._acct(addr)
-                acct.frozen += amount
-                assert acct.frozen <= acct.reversible
+            acct = self.ledger._acct(addr)
+            acct.frozen += amount
+            assert acct.frozen <= acct.reversible
         for edge, obligation in plan.per_edge:
-            if obligation > 0:
-                edge.record.amount -= obligation
-                assert edge.record.amount >= 0
+            edge.record.amount -= obligation
+            assert edge.record.amount >= 0
         claim = Claim(claim_id, victim, disputed, ClaimStatus.FROZEN, plan)
         self.claims[claim_id] = claim
         return claim_id
@@ -383,16 +389,12 @@ class FreezeEngine:
         from a synthetic claim sender so the reversal itself stays traceable.
         Returns the amount moved.
         """
-        self._require_governance(caller)
-        claim = self._claim(claim_id)
-        if claim.status is not ClaimStatus.FROZEN:
-            raise ClaimNotFrozenError(f"claim {claim_id} is {claim.status.value}")
+        claim = self._frozen_claim(claim_id, caller)
         for addr, amount in claim.plan.to_freeze.items():
-            if amount > 0:
-                acct = self.ledger._acct(addr)
-                acct.reversible -= amount
-                acct.frozen -= amount
-                assert acct.reversible >= 0 and acct.frozen >= 0
+            acct = self.ledger._acct(addr)
+            acct.reversible -= amount
+            acct.frozen -= amount
+            assert acct.reversible >= 0 and acct.frozen >= 0
         total = claim.plan.total_frozen
         if total:
             self.ledger._acct(claim.victim).reversible += total
@@ -413,17 +415,12 @@ class FreezeEngine:
         the record's remaining amount when it deleted it, and no ref or
         outgoing window reaches the record any more.
         """
-        self._require_governance(caller)
-        claim = self._claim(claim_id)
-        if claim.status is not ClaimStatus.FROZEN:
-            raise ClaimNotFrozenError(f"claim {claim_id} is {claim.status.value}")
+        claim = self._frozen_claim(claim_id, caller)
         for addr, amount in claim.plan.to_freeze.items():
-            if amount > 0:
-                acct = self.ledger._acct(addr)
-                acct.frozen -= amount
-                assert acct.frozen >= 0
+            acct = self.ledger._acct(addr)
+            acct.frozen -= amount
+            assert acct.frozen >= 0
         for edge, obligation in claim.plan.per_edge:
-            if obligation > 0:
-                edge.record.amount += obligation
-                assert edge.record.amount <= edge.record.original_amount
+            edge.record.amount += obligation
+            assert edge.record.amount <= edge.record.original_amount
         claim.status = ClaimStatus.REJECTED

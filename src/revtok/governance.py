@@ -37,7 +37,7 @@ from .errors import (
     WindowElapsedError,
 )
 from .freeze import FreezeEngine
-from .ledger import Address, TokenLedger
+from .ledger import Address, TokenLedger, _check_amount
 from .nft import NftRegistry
 from .spendlog import SpendRef
 
@@ -249,8 +249,9 @@ class Governance:
     ) -> int:
         """Open a case.  The engine that owns the target decides whether the
         claimant may dispute it now (`FreezeEngine.disputed_record`,
-        `NftRegistry.disputed_owner`) and raises if not; stake+tip is then
-        escrowed from the claimant's non-reversible balance up front."""
+        `NftRegistry.disputed_owner`) and raises if not.  A stake below the
+        minimum or a negative tip is refused too; stake+tip is then escrowed
+        from the claimant's non-reversible balance up front."""
         block = self.ledger.current_block
         if isinstance(target, FungibleTarget):
             record = self.freeze_engine.disputed_record(target.ref, claimant, block)
@@ -262,6 +263,7 @@ class Governance:
             raise InsufficientStakeError(
                 f"stake {stake} is below the minimum {self.policy.min_stake}"
             )
+        _check_amount(tip)
         n = self.policy.quorum_for(disputed_amount)
         case_id = len(self.cases) + 1  # cases are never deleted
         quorum = select_quorum(self.pool.judges, n, beacon_seed, case_id)

@@ -83,6 +83,13 @@ class NftRegistry:
         if caller != self.governance:
             raise NotGovernanceError(f"{caller} may not drive the freeze lifecycle")
 
+    def _frozen_token(self, token_id: int, caller: Address) -> NftToken:
+        self._require_governance(caller)
+        token = self._token(token_id)
+        if not token.frozen:
+            raise NotFrozenError(f"token {token_id} is not frozen")
+        return token
+
     def mint(self, token_id: int, to: Address, block: int) -> None:
         if token_id in self.tokens:
             raise DuplicateTokenError(f"token {token_id}")
@@ -142,10 +149,7 @@ class NftRegistry:
     def reverse(self, token_id: int, index: int, current_block: int, caller: Address) -> None:
         """Return the token to the owner at record `index` by appending a
         fresh record, and unfreeze it."""
-        self._require_governance(caller)
-        token = self._token(token_id)
-        if not token.frozen:
-            raise NotFrozenError(f"token {token_id} is not frozen")
+        token = self._frozen_token(token_id, caller)
         prior = token.record(index)
         if prior is None:
             raise UnknownTokenError(f"token {token_id} has no record {index}")
@@ -153,11 +157,7 @@ class NftRegistry:
         token.frozen = False
 
     def reject_reverse(self, token_id: int, caller: Address) -> None:
-        self._require_governance(caller)
-        token = self._token(token_id)
-        if not token.frozen:
-            raise NotFrozenError(f"token {token_id} is not frozen")
-        token.frozen = False
+        self._frozen_token(token_id, caller).frozen = False
 
     def clean(self, token_ids: list[int], current_block: int) -> list[NftCleanResult]:
         """Drop history that is out of reach of any future dispute.

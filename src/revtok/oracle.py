@@ -270,19 +270,15 @@ def _trace_raw(spec: TrialSpec):
 def reference_freeze(spec: TrialSpec, trace) -> dict[str, int]:
     """Brute-force freeze map for DAG-shaped trials.
 
-    Replays balances with plain dicts, takes the tainted edges from `trace`,
-    the `_trace_raw(spec)` result, topologically sorts with Kahn's algorithm,
-    and hands out obligations newest-first.  Shares no code or data
-    structures with the engine path.
+    Replays reversible balances with a plain dict, takes the tainted edges
+    from `trace`, the `_trace_raw(spec)` result, topologically sorts with
+    Kahn's algorithm, and hands out obligations newest-first.  Shares no code
+    or data structures with the engine path.
     """
     r: dict[str, int] = {}
-    nr: dict[str, int] = {}
     for op in spec.ops:
         p = op.params
-        if op.name == "mint":
-            nr[p["to"]] = nr.get(p["to"], 0) + p["amount"]
-        elif op.name == "transfer":
-            nr[p["from"]] -= p["amount"]
+        if op.name == "transfer":
             r[p["to"]] = r.get(p["to"], 0) + p["amount"]
         elif op.name == "rtransfer":
             r[p["from"]] -= p["amount"]
@@ -352,9 +348,10 @@ def run_and_check(spec: TrialSpec) -> list[str]:
         bad("freezeSum", f"froze {plan.total_frozen} of {demand}")
     violations.extend(trial_text(spec, v) for v in _check_obligation_bound(trace, plan, demand))
 
-    # Work is linear in the processed graph.
-    if plan.nodes_visited > len(plan.to_freeze):
-        bad("linearity", f"visited {plan.nodes_visited} of {len(plan.to_freeze)} nodes")
+    # Work is linear in the traced graph.
+    tainted = len(trace[2])
+    if plan.nodes_visited > tainted:
+        bad("linearity", f"visited {plan.nodes_visited} of {tainted} tainted addresses")
     if plan.edges_touched > plan.edge_count:
         bad("linearity", f"touched {plan.edges_touched} of {plan.edge_count} edges")
 
@@ -395,8 +392,10 @@ def _check_obligation_bound(trace, plan, demand: int) -> list[str]:
     checked against the raw records: it must point at a real transfer with
     matching endpoints, dated after tainted funds could first have arrived at
     the sender, and neither its value nor its obligation may exceed what the
-    raw transfer moved.  Finally each node's books must balance exactly:
-    frozen + absorbed-by-burn + stranded + passed-on == reached.
+    raw transfer moved.  Finally, at the root and every node a row or a
+    plan map names, the books must balance exactly: frozen +
+    absorbed-by-burn + stranded + passed-on == reached, and the plan's
+    obligation must be that reached total.
     """
     records, t0, arrival, _edges, _burned = trace
     root = records[t0][1]
@@ -440,7 +439,9 @@ def _check_obligation_bound(trace, plan, demand: int) -> list[str]:
                 f"obligationBound: edge {edge.src}->{edge.dst} obligation {obligation} "
                 f"> obligation reaching {edge.src} ({reached(edge.src)})"
             )
-    for node in plan.to_freeze:
+    named = {root}.union(inflow, outflow, plan.to_freeze, plan.obligations,
+                         plan.absorbed_by_burn, plan.residual)
+    for node in sorted(named):
         books = (
             plan.to_freeze.get(node, 0)
             + plan.absorbed_by_burn.get(node, 0)
@@ -451,6 +452,11 @@ def _check_obligation_bound(trace, plan, demand: int) -> list[str]:
             violations.append(
                 f"obligationBound: node {node} accounts for {books} "
                 f"but obligation {reached(node)} reached it"
+            )
+        if plan.obligations.get(node, 0) != reached(node):
+            violations.append(
+                f"obligationBound: node {node} lists obligation "
+                f"{plan.obligations.get(node, 0)} but {reached(node)} reached it"
             )
     return violations
 

@@ -41,7 +41,7 @@ def test_recent_spends_absorb_obligation_first(ledger):
     ledger.transfer("a1", "a2", 10, block=3)   # older outgoing
     ledger.rtransfer("a1", "a3", 10, block=4)  # newer outgoing
     plan = plan_for(ledger, ref)
-    assert plan.to_freeze == {"a0": 0, "a1": 0, "a2": 0, "a3": 10}
+    assert plan.to_freeze == {"a3": 10}
     by_edge = {(e.src, e.dst): ob for e, ob in plan.per_edge}
     assert by_edge[("a1", "a3")] == 10
     # the older edge is never reached: the newest one covered the obligation
@@ -56,7 +56,7 @@ def test_obligation_splits_across_paths(ledger):
     ledger.rtransfer("a0", "a1", 10, block=3)
     ledger.rtransfer("a1", "a3", 10, block=3)
     plan = plan_for(ledger, ref)
-    assert plan.to_freeze == {"a0": 0, "a1": 0, "a2": 10, "a3": 10}
+    assert plan.to_freeze == {"a2": 10, "a3": 10}
     assert plan.total_frozen == 20
     assert plan.obligations["a1"] == 20
 

@@ -72,8 +72,8 @@ def test_freeze_applies_plan_and_debits():
     assert led.log.resolve(ref).amount == 50
     claim = eng.claims[cid]
     assert claim.status is ClaimStatus.FROZEN
-    assert {a: n for a, n in claim.plan.to_freeze.items() if n} == {"a0": 30, "a1": 20}
-    [(edge, obligation)] = [(e, ob) for e, ob in claim.plan.per_edge if ob]
+    assert claim.plan.to_freeze == {"a0": 30, "a1": 20}
+    [(edge, obligation)] = claim.plan.per_edge
     assert edge.record is led.log.resolve(hop) and obligation == 20
 
 
@@ -86,7 +86,7 @@ def test_redispute_while_pending_freezes_nothing():
     cid2 = eng.execute_freeze(ref, "v", 1, caller=GOV)
     assert eng.claims[cid2].plan.total_frozen == 0
     plan2 = eng.claims[cid2].plan
-    assert not any(plan2.to_freeze.values()) and not any(ob for _, ob in plan2.per_edge)
+    assert plan2.to_freeze == {} and plan2.per_edge == []
     assert led.account("a0").frozen == 50  # unchanged
 
 
@@ -204,7 +204,7 @@ def test_claims_debit_and_restore_without_resolving(resolve_calls):
     # the disputed ref, once in execute_freeze, which hands its record to
     # build_graph; the two debited hops are reached through their edges' records
     assert resolve_calls == [ref]
-    assert [ob for _, ob in eng.claims[cid].plan.per_edge if ob] == [30, 25]
+    assert [ob for _, ob in eng.claims[cid].plan.per_edge] == [30, 25]
     resolve_calls.clear()
     eng.reject_reverse(cid, caller=GOV)
     assert eng.reverse(sibling_id, caller=GOV) == 40
@@ -243,13 +243,15 @@ def test_claim_ids_are_deterministic_and_unique():
 
 
 def assert_same_freeze(plan, traced):
-    """Every nonzero per-node amount, every per-edge row and the touch count agree."""
+    """Every per-node map, every per-edge row and the touch count agree, and
+    every amount either plan lists is positive."""
     for name in ("to_freeze", "obligations", "absorbed_by_burn", "residual"):
-        nonzero = [{n: v for n, v in getattr(p, name).items() if v} for p in (plan, traced)]
-        assert nonzero[0] == nonzero[1], name
+        assert getattr(plan, name) == getattr(traced, name), name
+        assert all(v > 0 for v in getattr(plan, name).values()), name
     rows = [[(e.record, e.src, e.dst, e.value, e.seq, ob) for e, ob in p.per_edge]
             for p in (plan, traced)]
     assert rows[0] == rows[1]
+    assert all(ob > 0 for _, ob in plan.per_edge)
     assert plan.edges_touched == traced.edges_touched
 
 
@@ -262,7 +264,7 @@ def freeze_like_traced(led, eng, ref, victim):
     assert_same_freeze(plan, traced)
     if covered:
         assert (plan.nodes_visited, plan.edge_count) == (1, 0)
-        assert list(plan.to_freeze) == [plan.root]
+        assert list(plan.to_freeze) == ([plan.root] if plan.demand else [])
     return plan, covered
 
 
@@ -353,7 +355,7 @@ def test_balance_one_below_demand_traces(build_calls):
     hop = led.rtransfer("a0", "a1", 31, block=2)
     plan, covered = freeze_like_traced(led, eng, ref, "v")
     assert not covered and len(build_calls) == 1
-    assert {a: n for a, n in plan.to_freeze.items() if n} == {"a0": 49, "a1": 1}
+    assert plan.to_freeze == {"a0": 49, "a1": 1}
     assert led.log.resolve(hop).amount == 30
 
 
@@ -365,7 +367,7 @@ def test_zero_demand_redispute_takes_the_shortcut(build_calls):
     freeze_like_traced(led, eng, ref, "v")
     assert led.log.resolve(hop).amount == 0 and len(build_calls) == 1
     plan, covered = freeze_like_traced(led, eng, hop, "a0")
-    assert covered and plan.demand == 0 and plan.to_freeze == {"a1": 0}
+    assert covered and plan.demand == 0 and plan.to_freeze == {}
     assert len(build_calls) == 1
 
 
@@ -382,4 +384,4 @@ def test_root_with_burns_and_a_cycle_takes_the_shortcut(no_trace):
     assert {(e.src, e.dst) for e in graph.edges} == {("a0", "a1"), ("a1", "a0")}
     plan, covered = freeze_like_traced(led, eng, ref, "v")
     assert covered and plan.to_freeze == {"a0": 50}
-    assert plan.absorbed_by_burn == {"a0": 0} and plan.residual == {"a0": 0}
+    assert plan.absorbed_by_burn == {} and plan.residual == {}

@@ -55,8 +55,8 @@ def test_claim_books_close_from_the_report(path):
         for src, _dst, _value, _seq, obligation in claim["perEdge"]:
             passed_on[src] = passed_on.get(src, 0) + obligation
         for node, reached in claim["obligations"].items():
-            books = (claim["toFreeze"][node] + claim["absorbedByBurn"][node]
-                     + claim["residual"][node] + passed_on.get(node, 0))
+            books = (claim["toFreeze"].get(node, 0) + claim["absorbedByBurn"].get(node, 0)
+                     + claim["residual"].get(node, 0) + passed_on.get(node, 0))
             assert books == reached, (claim["id"], node)
 
 

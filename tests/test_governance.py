@@ -160,6 +160,19 @@ def test_submit_guards():
     assert gov.cases == {}
 
 
+def test_submit_refuses_a_negative_tip_before_escrow():
+    # stake 6 with tip -1 would escrow 5, and a dismissal would then pay out
+    # more than escrow holds halfway through the tally
+    led, eng, nft, gov, judges = make_stack(n_judges=3)
+    led.mint("v", 106, block=1)
+    ref = led.transfer("v", "a0", 100, block=1)
+    with pytest.raises(ValueError):
+        gov.submit_freeze_request("v", FungibleTarget(ref), 6, tip=-1)
+    assert led.account("v").nonreversible == 6
+    assert led.account(gov.escrow).nonreversible == 0
+    assert gov.cases == {}
+
+
 def test_submit_nft_guards():
     led, eng, nft, gov, judges = make_stack(n_judges=1)
     led.mint("a", 10, block=1)
