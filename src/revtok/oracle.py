@@ -268,7 +268,7 @@ def _trace_raw(spec: TrialSpec):
 
 
 def reference_freeze(spec: TrialSpec, trace) -> dict[str, int]:
-    """Brute-force freeze map for DAG-shaped trials.
+    """Brute-force freeze map for DAG-shaped trials, positive amounts only.
 
     Replays reversible balances with a plain dict, takes the tainted edges
     from `trace`, the `_trace_raw(spec)` result, topologically sorts with
@@ -306,7 +306,8 @@ def reference_freeze(spec: TrialSpec, trace) -> dict[str, int]:
         head += 1
         pending = oblig[node]
         frozen = min(pending, r.get(node, 0))
-        to_freeze[node] = frozen
+        if frozen:
+            to_freeze[node] = frozen
         remaining = pending - frozen - burned.get(node, 0)
         if remaining > 0:
             for _src, dst, amount, _seq in outgoing[node]:
@@ -349,9 +350,8 @@ def run_and_check(spec: TrialSpec) -> list[str]:
     violations.extend(trial_text(spec, v) for v in _check_obligation_bound(trace, plan, demand))
 
     # Work is linear in the traced graph.
-    tainted = len(trace[2])
-    if plan.nodes_visited > tainted:
-        bad("linearity", f"visited {plan.nodes_visited} of {tainted} tainted addresses")
+    if plan.nodes_visited > len(trace[2]):
+        bad("linearity", f"visited {plan.nodes_visited} of {len(trace[2])} tainted addresses")
     if plan.edges_touched > plan.edge_count:
         bad("linearity", f"touched {plan.edges_touched} of {plan.edge_count} edges")
 
@@ -373,12 +373,8 @@ def run_and_check(spec: TrialSpec) -> list[str]:
 
     if spec.shape == "layered":
         expected = reference_freeze(spec, trace)
-        actual = plan.to_freeze
-        keys = set(expected) | set(actual)
-        for key in keys:
-            if expected.get(key, 0) != actual.get(key, 0):
-                bad("reference", f"{key}: engine {actual.get(key, 0)} "
-                                 f"!= brute force {expected.get(key, 0)}")
+        if plan.to_freeze != expected:
+            bad("reference", f"engine {plan.to_freeze} != brute force {expected}")
     return violations
 
 
@@ -448,15 +444,11 @@ def _check_obligation_bound(trace, plan, demand: int) -> list[str]:
             + plan.residual.get(node, 0)
             + outflow.get(node, 0)
         )
-        if books != reached(node):
+        listed = plan.obligations.get(node, 0)
+        if books != reached(node) or listed != reached(node):
             violations.append(
-                f"obligationBound: node {node} accounts for {books} "
+                f"obligationBound: node {node} accounts for {books} of obligation {listed} "
                 f"but obligation {reached(node)} reached it"
-            )
-        if plan.obligations.get(node, 0) != reached(node):
-            violations.append(
-                f"obligationBound: node {node} lists obligation "
-                f"{plan.obligations.get(node, 0)} but {reached(node)} reached it"
             )
     return violations
 

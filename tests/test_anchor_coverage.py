@@ -67,9 +67,10 @@ UNREACHED: dict[str, list[tuple[str, str, str]]] = {
          'violations.append(trial_text(spec, f"{kind}: {detail}"))'),
         ("oracle.py", "run_and_check",
          'bad("identity", f"frozen {plan.total_frozen} + absorbed {plan.total_absorbed} "'),
-        ("oracle.py", "run_and_check", 'bad("freezeSum", f"froze {plan.total_frozen} of {demand}")'),
         ("oracle.py", "run_and_check",
-         'bad("linearity", f"visited {plan.nodes_visited} of {tainted} tainted addresses")'),
+         'bad("freezeSum", f"froze {plan.total_frozen} of {demand}")'),
+        ("oracle.py", "run_and_check",
+         'bad("linearity", f"visited {plan.nodes_visited} of {len(trace[2])} tainted addresses")'),
         ("oracle.py", "run_and_check",
          'bad("linearity", f"touched {plan.edges_touched} of {plan.edge_count} edges")'),
         ("oracle.py", "run_and_check",
@@ -79,11 +80,12 @@ UNREACHED: dict[str, list[tuple[str, str, str]]] = {
         ("oracle.py", "run_and_check",
          'bad("claim", f"{addr} frozen {acct.frozen} != plan {plan.to_freeze.get(addr, 0)}")'),
         ("oracle.py", "run_and_check", 'bad("conservation", f"{ledger.circulating()} != "'),
-        ("oracle.py", "run_and_check", 'bad("reference", f"{key}: engine {actual.get(key, 0)} "'),
+        ("oracle.py", "run_and_check",
+         'bad("reference", f"engine {plan.to_freeze} != brute force {expected}")'),
         ("oracle.py", "_check_obligation_bound",
          'violations.append(f"obligationBound: row seq {edge.seq} is not a raw record")'),
         ("oracle.py", "_check_obligation_bound", "continue"),
-        *[("oracle.py", "_check_obligation_bound", "violations.append(")] * 7,
+        *[("oracle.py", "_check_obligation_bound", "violations.append(")] * 6,
         ("oracle.py", "oracle_check",
          'violations.append({"trial": index, "detail": violation})'),
     ],
