@@ -392,10 +392,10 @@ class ScenarioRunner:
         for key, actual in facts.items():
             if key not in p:
                 continue
-            if isinstance(actual, list):  # edge: some touched src->dst edge has the value
+            if isinstance(actual, list):  # edge: some perEdge row src->dst has the value
                 if p[key] not in actual:
                     failures.append(
-                        f"no touched edge {p['src']}->{p['dst']} with value {p[key]}; saw {actual}"
+                        f"no perEdge row {p['src']}->{p['dst']} with value {p[key]}; saw {actual}"
                     )
                 continue
             if actual != p[key]:

@@ -26,8 +26,9 @@ from revtok.scenario import run_scenario_text
 SRC = Path(revtok.__file__).resolve().parent
 SCENARIOS = sorted((SRC.parent.parent / "scenarios").glob("*.scn"))
 
-# Why no anchor reaches each listed statement, which is named by its module,
-# its function and its first line, once per statement that starts so.
+# Why no anchor reaches each listed statement.  A statement is named by its
+# module, its function and its first line, and listed once per statement, so
+# a first line that two statements share appears twice.
 UNREACHED: dict[str, list[tuple[str, str, str]]] = {
     "graph views and the claims' filing order, read only by perfbench and the "
     "tests; claim_order goes once perfbench reads `engine.claims` (ROADMAP item 4)": [
