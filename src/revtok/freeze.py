@@ -38,16 +38,14 @@ from .spendlog import SpendLog, SpendRecord, SpendRef
 class GraphEdge:
     """One spend record viewed as a graph edge.
 
-    `value` starts as the record's remaining amount and may be discounted by
-    cycle cancellation; zero-valued edges are legal and stay in the graph.
-    `record` is the spend record itself, which a freeze debits and a
-    rejection restores in place.
+    `record` is the spend record itself: the edge runs from its `sender` to
+    its `to` at its `seq`, and a freeze debits it and a rejection restores it
+    in place.  `value` is the edge's capacity, which starts as the record's
+    remaining amount and may be discounted by cycle cancellation; zero-valued
+    edges are legal and stay in the graph.
     """
 
-    src: Address
-    dst: Address
     value: int
-    seq: int
     record: SpendRecord
 
 
@@ -56,9 +54,9 @@ class TransferGraph:
     """Trace graph rooted at the disputed recipient.
 
     `out` is the graph's only edge store: its keys are the nodes in discovery
-    order, its values each node's outgoing edges, newest-first.  The freeze
-    pass relies on that order instead of sorting, which keeps it linear in
-    the graph size.
+    order, its values each node's outgoing edges, newest-first, each one
+    sent by its key.  The freeze pass relies on that order instead of
+    sorting, which keeps it linear in the graph size.
     """
 
     root: Address
@@ -85,27 +83,25 @@ def build_graph(log: SpendLog, rec: SpendRecord, freeze_seq: int) -> TransferGra
     burned coins can absorb obligation but cannot carry it anywhere.
 
     Earliest arrivals are settled in ascending seq order (a heap of
-    (arrival seq, account)), so each account's outgoing window is read exactly
-    once.
+    (arrival seq, account)); an account is settled once it is a key of
+    `graph.out`, so each account's outgoing window is read exactly once.
     """
     if rec.to is None:
         raise InvalidDisputeError("a burn record cannot be disputed")
     graph = TransferGraph(root=rec.to)
     arrival: dict[Address, int] = {rec.to: rec.seq}
     heap: list[tuple[int, Address]] = [(rec.seq, rec.to)]
-    settled: set[Address] = set()
     while heap:
         at, node = heapq.heappop(heap)
-        if node in settled:
+        if node in graph.out:
             continue
-        settled.add(node)
         edges = graph.out[node] = []
         for out in log.outgoing_between(node, at, freeze_seq):
             if out.to is None:
                 graph.burned_at[node] = graph.burned_at.get(node, 0) + out.amount
                 continue
-            edges.append(GraphEdge(node, out.to, out.amount, out.seq, out))
-            if out.to not in settled and out.seq < arrival.get(out.to, freeze_seq):
+            edges.append(GraphEdge(out.amount, out))
+            if out.to not in graph.out and out.seq < arrival.get(out.to, freeze_seq):
                 arrival[out.to] = out.seq
                 heapq.heappush(heap, (out.seq, out.to))
     return graph
@@ -140,20 +136,23 @@ def eliminate_cycles(graph: TransferGraph) -> TransferGraph:
             if edge is None:
                 color[node] = BLACK
                 stack.pop()
-            elif color[edge.dst] == WHITE:
-                color[edge.dst] = GRAY
-                entered_via[edge.dst] = edge
-                stack.append((edge.dst, iter(adj[edge.dst])))
-            elif color[edge.dst] == GRAY:
+                continue
+            dst = edge.record.to
+            if color[dst] == WHITE:
+                color[dst] = GRAY
+                entered_via[dst] = edge
+                stack.append((dst, iter(adj[dst])))
+            elif color[dst] == GRAY:
                 cycle = [edge]
-                while cycle[-1].src != edge.dst:
-                    cycle.append(entered_via[cycle[-1].src])
-                weakest = min(cycle, key=lambda e: (e.value, e.seq))
+                while cycle[-1].record.sender != dst:
+                    cycle.append(entered_via[cycle[-1].record.sender])
+                weakest = min(cycle, key=lambda e: (e.value, e.record.seq))
                 for e in cycle:
                     if e is not weakest:
                         e.value -= weakest.value
-                adj[weakest.src] = [e for e in adj[weakest.src] if e is not weakest]
-                while stack[-1][0] != weakest.src:
+                src = weakest.record.sender
+                adj[src] = [e for e in adj[src] if e is not weakest]
+                while stack[-1][0] != src:
                     color[stack.pop()[0]] = WHITE
     return graph
 
@@ -173,10 +172,10 @@ class FreezePlan:
     obligation equals its frozen, absorbed and residual amounts plus what its
     per_edge rows passed on.  nodes_visited counts the nodes the pass popped
     and edges_touched the edges the obligation walk stepped over, zero-valued
-    ones included.  edge_count counts the edges of the graph the pass ran on,
-    and edge_iterations every step the pass took over an edge: one per edge
-    in the indegree count, one per edge in the topological release, and
-    edges_touched in the obligation walk.
+    ones included.  edge_count counts the edges of the graph the pass ran on.
+    edge_iterations is computed from those two: every step the pass took
+    over an edge, one per edge in the indegree count, one per edge in the
+    topological release, and edges_touched in the obligation walk.
     """
 
     root: Address
@@ -189,7 +188,10 @@ class FreezePlan:
     nodes_visited: int = 0
     edges_touched: int = 0
     edge_count: int = 0
-    edge_iterations: int = 0
+
+    @property
+    def edge_iterations(self) -> int:
+        return 2 * self.edge_count + self.edges_touched
 
     @property
     def total_frozen(self) -> int:
@@ -213,7 +215,7 @@ def calc_freeze(graph: TransferGraph, demand: int, balance_of) -> FreezePlan:
     reverse-chronological order, each taking min(remaining, edge value).
 
     Pure: reads balances through `balance_of`, mutates nothing.  Work is
-    O(nodes + edges); the plan records the touch and iteration counts.
+    O(nodes + edges); the plan records the node, touch and edge counts.
     """
     plan = FreezePlan(root=graph.root, demand=demand)
     adj = graph.out
@@ -221,7 +223,7 @@ def calc_freeze(graph: TransferGraph, demand: int, balance_of) -> FreezePlan:
     for edges in adj.values():
         plan.edge_count += len(edges)
         for e in edges:
-            indegree[e.dst] += 1
+            indegree[e.record.to] += 1
     queue = [n for n in adj if indegree[n] == 0]
     obligations = plan.obligations
     if demand:
@@ -242,7 +244,7 @@ def calc_freeze(graph: TransferGraph, demand: int, balance_of) -> FreezePlan:
                 plan.edges_touched += 1
                 passed = min(remaining, edge.value)
                 if passed:
-                    obligations[edge.dst] = obligations.get(edge.dst, 0) + passed
+                    obligations[edge.record.to] = obligations.get(edge.record.to, 0) + passed
                     plan.per_edge.append((edge, passed))
                     remaining -= passed
             if frozen:
@@ -251,13 +253,12 @@ def calc_freeze(graph: TransferGraph, demand: int, balance_of) -> FreezePlan:
                 plan.absorbed_by_burn[node] = absorbed
             if remaining:
                 plan.residual[node] = remaining
-        plan.edge_iterations += len(adj[node])
         for edge in adj[node]:
-            indegree[edge.dst] -= 1
-            if indegree[edge.dst] == 0:
-                queue.append(edge.dst)
+            dst = edge.record.to
+            indegree[dst] -= 1
+            if indegree[dst] == 0:
+                queue.append(dst)
     assert len(queue) == len(adj), "graph fed to calc_freeze must be acyclic"
-    plan.edge_iterations += plan.edge_count + plan.edges_touched
     return plan
 
 

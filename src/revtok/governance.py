@@ -81,12 +81,12 @@ class FeePolicy:
 
     Thresholds default to ceil(2n/3).  The minimum stake must cover the judge
     fees of both voting rounds at the largest configured quorum, so fee
-    payment can never run out of escrow.
+    payment can never run out of escrow; unless given, it is exactly that.
     """
 
     judge_fee: int = 1
     quorum_size: int = 12
-    min_stake: int = 24
+    min_stake: int | None = None
     freeze_threshold: int | None = None
     trial_threshold: int | None = None
     reveal_deadline: int = 100  # blocks per voting round
@@ -103,7 +103,10 @@ class FeePolicy:
         if self.tip_to not in ("prevailing", "burn"):
             raise ValueError("tip_to must be 'prevailing' or 'burn'")
         largest = max([self.quorum_size, *(n for _, n in self.quorum_steps)])
-        if self.min_stake < 2 * largest * self.judge_fee:
+        fees = 2 * largest * self.judge_fee
+        if self.min_stake is None:
+            object.__setattr__(self, "min_stake", fees)
+        elif self.min_stake < fees:
             raise ValueError(
                 "min_stake must cover two rounds of judge fees at the largest quorum"
             )

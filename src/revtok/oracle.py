@@ -168,8 +168,6 @@ def _spend(rng, ops, r, nr, frm, pick_to, burns) -> None:
         return
     use_r = r[frm] > 0 and (nr[frm] == 0 or rng.random() < 0.7)
     pool = r if use_r else nr
-    if pool[frm] == 0:
-        return
     amount = rng.randint(1, min(pool[frm], 100))
     to = pick_to()
     _add(ops, "rtransfer" if use_r else "transfer", {"from": frm, "to": to, "amount": amount})
@@ -207,14 +205,13 @@ def _generate_interleaved(rng: random.Random, ops: list[ScenarioOp], burns: bool
         _add(ops, "rtransfer", {"from": parent, "to": hub, "amount": x})
         hub_r += x
         if j < len(sinks) and hub_r > 0:
-            if burns and rng.random() < 0.25:
-                y = rng.randint(1, min(hub_r, 100))
+            burn = burns and rng.random() < 0.25
+            y = rng.randint(1, min(hub_r, 100))
+            if burn:
                 _add(ops, "burn", {"from": hub, "amount": y, "source": BurnSource.REVERSIBLE})
-                hub_r -= y
             else:
-                y = rng.randint(1, min(hub_r, 100))
                 _add(ops, "rtransfer", {"from": hub, "to": sinks[j], "amount": y})
-                hub_r -= y
+            hub_r -= y
         if rng.random() < 0.3:
             block += 1
             _add(ops, "advanceBlock", {"to": block})
@@ -225,11 +222,11 @@ def _generate_interleaved(rng: random.Random, ops: list[ScenarioOp], burns: bool
 
 
 def _replay_on_engine(spec: TrialSpec):
-    """The trial's ops run by a default-config scenario runner: its ledger,
-    its freeze engine and the disputed transfer's ref."""
+    """A default-config scenario runner that has dispatched the trial's ops,
+    and the disputed transfer's ref."""
     runner = ScenarioRunner({})
     results = [runner.dispatch(op) for op in spec.ops]
-    return runner.ledger, runner.freeze, results[spec.dispute]
+    return runner, results[spec.dispute]
 
 
 def _trace_raw(spec: TrialSpec):
@@ -329,7 +326,8 @@ def reference_freeze(spec: TrialSpec, trace) -> dict[str, int]:
 
 def run_and_check(spec: TrialSpec) -> list[str]:
     """All violations found in one trial (empty list means it passed)."""
-    ledger, engine, ref = _replay_on_engine(spec)
+    runner, ref = _replay_on_engine(spec)
+    ledger, engine = runner.ledger, runner.freeze
     record = ledger.log.resolve(ref)
     demand = record.amount
     claim_id = engine.execute_freeze(ref, record.sender, ledger.current_block, GOVERNANCE)
@@ -400,40 +398,42 @@ def _check_obligation_bound(trace, plan, demand: int) -> list[str]:
     inflow: dict[str, int] = {}
     outflow: dict[str, int] = {}
     for edge, obligation in plan.per_edge:
-        if not 0 <= edge.seq < len(records):
-            violations.append(f"obligationBound: row seq {edge.seq} is not a raw record")
+        src, dst, seq = edge.record.sender, edge.record.to, edge.record.seq
+        if not 0 <= seq < len(records):
+            violations.append(f"obligationBound: row seq {seq} is not a raw record")
             continue
-        sender, to, amount = records[edge.seq]
-        if sender != edge.src or to != edge.dst:
+        sender, to, amount = records[seq]
+        if sender != src or to != dst:
             violations.append(
-                f"obligationBound: per-edge row at seq {edge.seq} does not match the raw record"
+                f"obligationBound: per-edge row at seq {seq} does not match the raw record"
             )
-        if edge.seq <= arrival.get(edge.src, len(records)):
+        if seq <= arrival.get(src, len(records)):
             violations.append(
-                f"obligationBound: edge {edge.src}->{edge.dst} seq {edge.seq} predates "
-                f"the funds' arrival at {edge.src}"
+                f"obligationBound: edge {src}->{dst} seq {seq} predates "
+                f"the funds' arrival at {src}"
             )
         if edge.value > amount:
             violations.append(
-                f"obligationBound: edge {edge.src}->{edge.dst} value {edge.value} "
+                f"obligationBound: edge {src}->{dst} value {edge.value} "
                 f"> raw transfer amount {amount}"
             )
         if obligation > edge.value:
             violations.append(
-                f"obligationBound: edge {edge.src}->{edge.dst} obligation {obligation} "
+                f"obligationBound: edge {src}->{dst} obligation {obligation} "
                 f"exceeds edge value {edge.value}"
             )
-        inflow[edge.dst] = inflow.get(edge.dst, 0) + obligation
-        outflow[edge.src] = outflow.get(edge.src, 0) + obligation
+        inflow[dst] = inflow.get(dst, 0) + obligation
+        outflow[src] = outflow.get(src, 0) + obligation
 
     def reached(node: str) -> int:
         return inflow.get(node, 0) + (demand if node == root else 0)
 
     for edge, obligation in plan.per_edge:
-        if obligation > reached(edge.src):
+        src = edge.record.sender
+        if obligation > reached(src):
             violations.append(
-                f"obligationBound: edge {edge.src}->{edge.dst} obligation {obligation} "
-                f"> obligation reaching {edge.src} ({reached(edge.src)})"
+                f"obligationBound: edge {src}->{edge.record.to} obligation {obligation} "
+                f"> obligation reaching {src} ({reached(src)})"
             )
     named = {root}.union(inflow, outflow, plan.to_freeze, plan.obligations,
                          plan.absorbed_by_burn, plan.residual)

@@ -227,41 +227,36 @@ class RunResult:
         return json.dumps(self.report, sort_keys=True, indent=2) + "\n"
 
 
-# Config key -> (FeePolicy field, parser).  delta and window configure the
-# EpochConfig instead.
-_POLICY_KEYS = {
-    "judgeFee": ("judge_fee", int),
-    "n": ("quorum_size", int),
-    "minStake": ("min_stake", int),
-    "freezeThreshold": ("freeze_threshold", int),
-    "trialThreshold": ("trial_threshold", int),
-    "revealDeadline": ("reveal_deadline", int),
-    "strikeLimit": ("strike_limit", int),
-    "minorityRatio": ("minority_ratio", float),
-    "minCases": ("min_cases", int),
-    "extremeMinority": ("extreme_minority_max", int),
-    "tipTo": ("tip_to", str),
+# Config key -> (settings class, field, parser).  An absent key leaves the
+# field at its class default.
+_CONFIG_KEYS = {
+    "delta": (EpochConfig, "epoch_length", int),
+    "window": (EpochConfig, "dispute_window", int),
+    "judgeFee": (FeePolicy, "judge_fee", int),
+    "n": (FeePolicy, "quorum_size", int),
+    "minStake": (FeePolicy, "min_stake", int),
+    "freezeThreshold": (FeePolicy, "freeze_threshold", int),
+    "trialThreshold": (FeePolicy, "trial_threshold", int),
+    "revealDeadline": (FeePolicy, "reveal_deadline", int),
+    "strikeLimit": (FeePolicy, "strike_limit", int),
+    "minorityRatio": (FeePolicy, "minority_ratio", float),
+    "minCases": (FeePolicy, "min_cases", int),
+    "extremeMinority": (FeePolicy, "extreme_minority_max", int),
+    "tipTo": (FeePolicy, "tip_to", str),
 }
 
 
 def _parse_config(cfg: dict[str, str]) -> tuple[EpochConfig, FeePolicy]:
     """The engine settings a config describes; ValueError if a key is
     unknown or a value is malformed or out of range."""
-    unknown = sorted(cfg.keys() - {"delta", "window", *_POLICY_KEYS})
+    unknown = sorted(cfg.keys() - _CONFIG_KEYS.keys())
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
-    epoch_config = EpochConfig(
-        epoch_length=int(cfg.get("delta", 1000)),
-        dispute_window=int(cfg.get("window", 24000)),
-    )
-    policy_kwargs: dict[str, Any] = {
-        name: parse(cfg[key]) for key, (name, parse) in _POLICY_KEYS.items() if key in cfg
-    }
-    n = policy_kwargs.get("quorum_size", FeePolicy.quorum_size)
-    fee = policy_kwargs.get("judge_fee", FeePolicy.judge_fee)
-    # Unless configured, the stake covers two rounds of judge fees.
-    policy_kwargs.setdefault("min_stake", 2 * n * fee)
-    return epoch_config, FeePolicy(**policy_kwargs)
+    kwargs: dict[type, dict[str, Any]] = {EpochConfig: {}, FeePolicy: {}}
+    for key, (cls, name, parse) in _CONFIG_KEYS.items():
+        if key in cfg:
+            kwargs[cls][name] = parse(cfg[key])
+    return EpochConfig(**kwargs[EpochConfig]), FeePolicy(**kwargs[FeePolicy])
 
 
 class ScenarioRunner:
@@ -445,7 +440,8 @@ class ScenarioRunner:
                 "absorbedByBurn": dict(sorted(claim.plan.absorbed_by_burn.items())),
                 "residual": dict(sorted(claim.plan.residual.items())),
                 "totalFrozen": claim.plan.total_frozen,
-                "perEdge": [[e.src, e.dst, e.value, e.seq, ob] for e, ob in claim.plan.per_edge],
+                "perEdge": [[e.record.sender, e.record.to, e.value, e.record.seq, ob]
+                            for e, ob in claim.plan.per_edge],
             }
             for claim in self.freeze.claims.values()
         ]

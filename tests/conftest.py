@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import random
+import time
 
 import pytest
 
@@ -18,6 +20,7 @@ from revtok import (
     Vote,
     commitment_hash,
 )
+from revtok.oracle import oracle_check
 
 GOV = "governance"
 
@@ -43,9 +46,7 @@ def make_stack(
     engine = FreezeEngine(led, GOV)
     nft = NftRegistry(GOV, window)
     judges = [f"j{i:02d}" for i in range(pool_size or n_judges)]
-    policy_kwargs.setdefault("judge_fee", 1)
     policy_kwargs.setdefault("quorum_size", n_judges)
-    policy_kwargs.setdefault("min_stake", 2 * n_judges * policy_kwargs["judge_fee"])
     policy = FeePolicy(**policy_kwargs)
     gov = Governance(led, engine, nft, JudgePool(judges), policy, identity=GOV)
     return led, engine, nft, gov, judges
@@ -73,6 +74,11 @@ def disputable_indexes(reg: NftRegistry, token_id: int, current_block: int) -> l
     ]
 
 
+def edge(src: str, dst: str, value: int, seq: int) -> GraphEdge:
+    """An edge of `value` over a hand-built spend record src -> dst at `seq`."""
+    return GraphEdge(value, SpendRecord(src, dst, value, value, 0, seq))
+
+
 def random_dag(nodes: int, edges: int, seed: int) -> tuple[TransferGraph, dict[str, int]]:
     """A rooted random DAG with every node reachable from the root, built
     directly (bypassing the log and graph construction) to measure calc_freeze
@@ -96,12 +102,19 @@ def random_dag(nodes: int, edges: int, seed: int) -> tuple[TransferGraph, dict[s
     # One source's edges must sit newest-first: assign seqs ascending, then
     # reverse each source's list.
     for seq, (src_i, dst_i, value) in enumerate(raw, start=1):
-        src, dst = names[src_i], names[dst_i]
-        record = SpendRecord(src, dst, value, value, 0, seq)
-        graph.out[src].append(GraphEdge(src, dst, value, seq, record))
+        graph.out[names[src_i]].append(edge(names[src_i], names[dst_i], value, seq))
     for out in graph.out.values():
         out.reverse()
     return graph, {name: 0 for name in names}
+
+
+@functools.cache
+def oracle_10000_41() -> tuple[dict, float]:
+    """`oracle_check(10000, 41, "mixed")` and the seconds it took, computed
+    once per session: criterion 4 and the oracle golden both read it."""
+    started = time.perf_counter()
+    report = oracle_check(10_000, 41, "mixed")
+    return report, time.perf_counter() - started
 
 
 @pytest.fixture

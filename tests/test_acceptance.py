@@ -18,12 +18,13 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import conftest
-from test_freeze_graph import all_simple_cycles, edge, has_cycle, manual_graph
+from conftest import edge
+from test_freeze_graph import all_simple_cycles, find_cycle, manual_graph
 
 from revtok import NftRegistry, SpendRef, calc_freeze, eliminate_cycles
-from revtok.oracle import SHAPES, generate_trial, oracle_check, run_and_check
+from revtok.oracle import SHAPES, _replay_on_engine, generate_trial, oracle_check, run_and_check
 from revtok.oracle import GOVERNANCE
-from revtok.scenario import ScenarioRunner, run_scenario_text
+from revtok.scenario import run_scenario_text
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -115,9 +116,7 @@ def test_criterion_3_freeze_sum_property_suite():
 def test_criterion_4_obligation_bound_property_suite():
     info = {}
     with criterion(4, "per-edge obligations never exceed what reached the sender", info):
-        started = time.perf_counter()
-        report = oracle_check(trials=10_000, seed=41, burns="mixed")
-        elapsed = time.perf_counter() - started
+        report, elapsed = conftest.oracle_10000_41()
         assert report["pass"] is True
         assert report["violations"] == []
         assert report["trials"] == 10_000
@@ -161,7 +160,7 @@ def test_criterion_5_cycle_elimination_always_yields_a_dag():
                 for seq in range(rng.randrange(4, 15))
             ]
             out = eliminate_cycles(manual_graph(nodes[0], edges))
-            assert not has_cycle(out.edges), trial
+            assert find_cycle(out) is None, trial
         info["note"] = f"{enumerated} graphs exhaustively enumerated, 400 more DFS-checked"
 
 
@@ -210,15 +209,8 @@ def test_criterion_7_work_is_linear_at_desk_scale():
 
 
 # -- 8: cross-cutting invariants ------------------------------------------------
-
-
-def _dispatched(spec):
-    """A default-config scenario runner that has dispatched the trial's ops,
-    and the disputed transfer's ref.  Its `state()` is what the fuzzes below
-    compare: every account, spend, claim and case, the supply and the clock."""
-    runner = ScenarioRunner({})
-    results = [runner.dispatch(op) for op in spec.ops]
-    return runner, results[spec.dispute]
+# The fuzzes compare `runner.state()`: every account, spend, claim and case,
+# the supply and the clock.
 
 
 def _fuzz_engine_trials(violations: list[str]) -> None:
@@ -232,7 +224,7 @@ def _fuzz_clean_idempotence(violations: list[str]) -> None:
     rng = random.Random(78)
     for t in range(40):
         spec = generate_trial(random.Random(rng.getrandbits(64)), "generic", burns=True)
-        runner, _ref = _dispatched(spec)
+        runner, _ref = _replay_on_engine(spec)
         led = runner.ledger
         led.advance_block(led.current_block + led.config.dispute_window + 1)
         buckets = sorted({(ref.epoch, ref.sender) for ref, _ in led.log.all_records()})
@@ -275,7 +267,7 @@ def _fuzz_atomicity(violations: list[str]) -> None:
     rng = random.Random(80)
     for t in range(100):
         spec = generate_trial(random.Random(rng.getrandbits(64)), "generic", burns=False)
-        runner, ref = _dispatched(spec)
+        runner, ref = _replay_on_engine(spec)
         led, engine = runner.ledger, runner.freeze
         accounts = sorted(led.accounts)
         frm = rng.choice(accounts)

@@ -37,6 +37,11 @@ UNREACHED: dict[str, list[tuple[str, str, str]]] = {
          "return [e for edges in self.out.values() for e in edges]"),
         ("freeze.py", "FreezeEngine.claim_order", "return list(self.claims)"),
     ],
+    "the plan's edge-iteration total, computed from its edge and touch counts "
+    "on demand; only the tests read it, and perfbench derives its own": [
+        ("freeze.py", "FreezePlan.edge_iterations",
+         "return 2 * self.edge_count + self.edges_touched"),
+    ],
     "a pool seeded at construction, which only perfbench and the tests build; "
     "scenarios add judges with the `judges` op": [
         ("governance.py", "JudgePool.__init__", "self.add(judge)"),
@@ -84,7 +89,7 @@ UNREACHED: dict[str, list[tuple[str, str, str]]] = {
         ("oracle.py", "run_and_check",
          'bad("reference", f"engine {plan.to_freeze} != brute force {expected}")'),
         ("oracle.py", "_check_obligation_bound",
-         'violations.append(f"obligationBound: row seq {edge.seq} is not a raw record")'),
+         'violations.append(f"obligationBound: row seq {seq} is not a raw record")'),
         ("oracle.py", "_check_obligation_bound", "continue"),
         *[("oracle.py", "_check_obligation_bound", "violations.append(")] * 6,
         ("oracle.py", "oracle_check",
@@ -92,7 +97,6 @@ UNREACHED: dict[str, list[tuple[str, str, str]]] = {
     ],
     "trial generator exits that none of the 200 trials takes": [
         ("oracle.py", "_generate_generic", "break"),
-        ("oracle.py", "_spend", "return"),
         ("oracle.py", "_generate_interleaved", "break"),
     ],
     "scenario failures, reported only when a check or an operation fails; "

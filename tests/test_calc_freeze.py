@@ -42,7 +42,7 @@ def test_recent_spends_absorb_obligation_first(ledger):
     ledger.rtransfer("a1", "a3", 10, block=4)  # newer outgoing
     plan = plan_for(ledger, ref)
     assert plan.to_freeze == {"a3": 10}
-    by_edge = {(e.src, e.dst): ob for e, ob in plan.per_edge}
+    by_edge = {(e.record.sender, e.record.to): ob for e, ob in plan.per_edge}
     assert by_edge[("a1", "a3")] == 10
     # the older edge is never reached: the newest one covered the obligation
     assert ("a1", "a2") not in by_edge
@@ -140,11 +140,11 @@ def test_random_dag_is_acyclic_and_sized():
     assert len(balances) == 200
     # every edge goes from a lower to a higher node index: acyclic by shape
     for e in graph.edges:
-        assert int(e.src[1:]) < int(e.dst[1:])
+        assert int(e.record.sender[1:]) < int(e.record.to[1:])
     # within one source, the edge list runs newest-first
     per_src: dict[str, list[int]] = {}
     for e in graph.edges:
-        per_src.setdefault(e.src, []).append(e.seq)
+        per_src.setdefault(e.record.sender, []).append(e.record.seq)
     for seqs in per_src.values():
         assert seqs == sorted(seqs, reverse=True)
 

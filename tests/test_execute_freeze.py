@@ -248,8 +248,7 @@ def assert_same_freeze(plan, traced):
     for name in ("to_freeze", "obligations", "absorbed_by_burn", "residual"):
         assert getattr(plan, name) == getattr(traced, name), name
         assert all(v > 0 for v in getattr(plan, name).values()), name
-    rows = [[(e.record, e.src, e.dst, e.value, e.seq, ob) for e, ob in p.per_edge]
-            for p in (plan, traced)]
+    rows = [[(e.record, e.value, ob) for e, ob in p.per_edge] for p in (plan, traced)]
     assert rows[0] == rows[1]
     assert all(ob > 0 for _, ob in plan.per_edge)
     assert plan.edges_touched == traced.edges_touched
@@ -292,7 +291,8 @@ def no_trace(monkeypatch):
 def test_oracle_trials_freeze_as_a_full_trace_would(build_calls):
     covered = 0
     for spec in oracle_trials(10000, 41, "mixed"):
-        led, eng, ref = _replay_on_engine(spec)
+        runner, ref = _replay_on_engine(spec)
+        led, eng = runner.ledger, runner.freeze
         before = len(build_calls)
         _, shortcut = freeze_like_traced(led, eng, ref, led.log.resolve(ref).sender)
         assert len(build_calls) - before == (0 if shortcut else 1)
@@ -381,7 +381,7 @@ def test_root_with_burns_and_a_cycle_takes_the_shortcut(no_trace):
     led.rtransfer("a1", "a0", 5, block=2)
     graph = build_graph(led.log, led.log.resolve(ref), led.log.next_seq)
     assert graph.burned_at == {"a0": 10}
-    assert {(e.src, e.dst) for e in graph.edges} == {("a0", "a1"), ("a1", "a0")}
+    assert {(e.record.sender, e.record.to) for e in graph.edges} == {("a0", "a1"), ("a1", "a0")}
     plan, covered = freeze_like_traced(led, eng, ref, "v")
     assert covered and plan.to_freeze == {"a0": 50}
     assert plan.absorbed_by_burn == {} and plan.residual == {}

@@ -17,7 +17,7 @@ from revtok import (
 
 from revtok.oracle import _replay_on_engine, generate_trial
 
-from conftest import make_ledger
+from conftest import edge, make_ledger
 
 
 def graph_of(ledger, ref):
@@ -41,7 +41,7 @@ def test_edges_follow_arrival_order(ledger):
     ledger.rtransfer("a0", "a1", 10, block=2)
     t_post = ledger.rtransfer("a1", "a3", 5, block=2)
     g = graph_of(ledger, ref)
-    dests = {(e.src, e.dst) for e in g.edges}
+    dests = {(e.record.sender, e.record.to) for e in g.edges}
     assert ("a1", "a3") in dests
     assert ("a1", "a2") not in dests  # pre-arrival spend excluded
     assert set(g.nodes) == {"a0", "a1", "a3"}
@@ -83,8 +83,8 @@ def test_per_source_edges_are_newest_first(ledger):
     ledger.rtransfer("a0", "a2", 1, block=2)
     ledger.rtransfer("a0", "a3", 1, block=3)
     g = graph_of(ledger, ref)
-    assert [e.dst for e in g.out["a0"]] == ["a3", "a2", "a1"]
-    seqs = [e.seq for e in g.out["a0"]]
+    assert [e.record.to for e in g.out["a0"]] == ["a3", "a2", "a1"]
+    seqs = [e.record.seq for e in g.out["a0"]]
     assert seqs == sorted(seqs, reverse=True)
 
 
@@ -97,46 +97,29 @@ def test_edge_value_is_current_remaining_amount(ledger):
     assert g.edges[0].value == 4
 
 
-def edge(src, dst, value, seq):
-    return GraphEdge(src=src, dst=dst, value=value, seq=seq, record=None)
+def arc(e):
+    """An edge as (src, dst, value)."""
+    return e.record.sender, e.record.to, e.value
 
 
 def manual_graph(root, edges):
     out = {root: []}
     for e in edges:
-        out.setdefault(e.src, []).append(e)
-        out.setdefault(e.dst, [])
+        out.setdefault(e.record.sender, []).append(e)
+        out.setdefault(e.record.to, [])
     return TransferGraph(root=root, out=out, burned_at={})
-
-
-def has_cycle(edges):
-    adj = {}
-    for e in edges:
-        adj.setdefault(e.src, []).append(e.dst)
-    seen, stack = set(), set()
-
-    def walk(n):
-        seen.add(n)
-        stack.add(n)
-        for m in adj.get(n, []):
-            if m in stack or (m not in seen and walk(m)):
-                return True
-        stack.discard(n)
-        return False
-
-    return any(walk(n) for n in list(adj) if n not in seen)
 
 
 def test_two_cycle_cancels_round_trip():
     g = manual_graph("a", [edge("a", "b", 5, 1), edge("b", "a", 3, 2)])
     out = eliminate_cycles(g)
-    assert [(e.src, e.dst, e.value) for e in out.edges] == [("a", "b", 2)]
+    assert [arc(e) for e in out.edges] == [("a", "b", 2)]
 
 
 def test_self_loop_is_removed():
     g = manual_graph("a", [edge("a", "a", 7, 1), edge("a", "b", 4, 2)])
     out = eliminate_cycles(g)
-    assert [(e.src, e.dst, e.value) for e in out.edges] == [("a", "b", 4)]
+    assert [arc(e) for e in out.edges] == [("a", "b", 4)]
 
 
 def test_three_cycle_discounts_by_minimum():
@@ -144,16 +127,16 @@ def test_three_cycle_discounts_by_minimum():
         edge("a", "b", 4, 1), edge("b", "c", 7, 2), edge("c", "a", 4, 3),
     ])
     out = eliminate_cycles(g)
-    got = sorted((e.src, e.dst, e.value) for e in out.edges)
+    got = sorted(arc(e) for e in out.edges)
     # min value 4 is shared; the lowest-seq edge of the tied pair is removed
     assert got == [("b", "c", 3), ("c", "a", 0)]
-    assert not has_cycle(out.edges)
+    assert find_cycle(out) is None
 
 
 def test_zero_value_edges_survive_elimination():
     g = manual_graph("a", [edge("a", "b", 3, 1), edge("b", "a", 3, 2)])
     out = eliminate_cycles(g)
-    assert [(e.src, e.dst, e.value) for e in out.edges] == [("b", "a", 0)]
+    assert [arc(e) for e in out.edges] == [("b", "a", 0)]
 
 
 def test_parallel_edges_form_a_multigraph_cycle():
@@ -161,10 +144,10 @@ def test_parallel_edges_form_a_multigraph_cycle():
         edge("a", "b", 2, 1), edge("a", "b", 9, 2), edge("b", "a", 5, 3),
     ])
     out = eliminate_cycles(g)
-    assert not has_cycle(out.edges)
+    assert find_cycle(out) is None
     # total net flow a->b is preserved: 11 out, 5 back, net 6
-    net = sum(e.value for e in out.edges if e.dst == "b") - sum(
-        e.value for e in out.edges if e.dst == "a")
+    net = sum(e.value for e in out.edges if e.record.to == "b") - sum(
+        e.value for e in out.edges if e.record.to == "a")
     assert net == 6
 
 
@@ -178,7 +161,7 @@ def test_random_graphs_become_acyclic_and_nonnegative():
             a, b = rng.choice(nodes), rng.choice(nodes)
             edges.append(edge(a, b, rng.randrange(0, 9), seq))
         out = eliminate_cycles(manual_graph("n0", list(edges)))
-        assert not has_cycle(out.edges), trial
+        assert find_cycle(out) is None, trial
         assert all(e.value >= 0 for e in out.edges), trial
         assert len(out.edges) <= len(edges)
 
@@ -188,12 +171,12 @@ def all_simple_cycles(edges):
     out = []
     for r in range(1, len(edges) + 1):
         for combo in itertools.permutations(edges, r):
-            if any(combo[i].dst != combo[(i + 1) % r].src for i in range(r)):
+            if any(combo[i].record.to != combo[(i + 1) % r].record.sender for i in range(r)):
                 continue
-            nodes = [e.src for e in combo]
+            nodes = [e.record.sender for e in combo]
             if len(set(nodes)) != r:
                 continue
-            if min(range(r), key=lambda i: combo[i].seq) != 0:
+            if min(range(r), key=lambda i: combo[i].record.seq) != 0:
                 continue  # canonical rotation only
             out.append(combo)
     return out
@@ -213,10 +196,10 @@ def test_elimination_never_leaves_a_simple_cycle():
         assert all_simple_cycles(out.edges) == [], trial
 
 
-# -- the restart-per-round algorithm, kept as a reference ----------------------
+# -- a plain cycle search, and the restart-per-round algorithm built on it -----
 
 
-def _find_cycle(graph: TransferGraph) -> list[GraphEdge] | None:
+def find_cycle(graph: TransferGraph) -> list[GraphEdge] | None:
     """One directed cycle as an edge list, or None if the graph is acyclic.
 
     Iterative DFS over the multigraph; a self-edge is a one-edge cycle.
@@ -237,38 +220,39 @@ def _find_cycle(graph: TransferGraph) -> list[GraphEdge] | None:
                 color[node] = BLACK
                 stack.pop()
                 continue
-            if color[edge.dst] == GRAY:
+            dst = edge.record.to
+            if color[dst] == GRAY:
                 cycle = [edge]
                 cur = node
-                while cur != edge.dst:
+                while cur != dst:
                     back = entered_via[cur]
                     cycle.append(back)
-                    cur = back.src
+                    cur = back.record.sender
                 cycle.reverse()
                 return cycle
-            if color[edge.dst] == WHITE:
-                color[edge.dst] = GRAY
-                entered_via[edge.dst] = edge
-                stack.append((edge.dst, iter(adj[edge.dst])))
+            if color[dst] == WHITE:
+                color[dst] = GRAY
+                entered_via[dst] = edge
+                stack.append((dst, iter(adj[dst])))
     return None
 
 
 def restart_eliminate_cycles(graph: TransferGraph) -> TransferGraph:
     """Cancel cycles with a fresh DFS from the first node for every round."""
     while True:
-        cycle = _find_cycle(graph)
+        cycle = find_cycle(graph)
         if cycle is None:
             return graph
-        weakest = min(cycle, key=lambda e: (e.value, e.seq))
+        weakest = min(cycle, key=lambda e: (e.value, e.record.seq))
         for edge in cycle:
             if edge is not weakest:
                 edge.value -= weakest.value
-        graph.out[weakest.src].remove(weakest)
+        graph.out[weakest.record.sender].remove(weakest)
 
 
 def per_source(graph):
     return [
-        (node, [(e.src, e.dst, e.value, e.seq) for e in edges])
+        (node, [(e.record.sender, e.record.to, e.value, e.record.seq) for e in edges])
         for node, edges in graph.out.items()
     ]
 
@@ -305,8 +289,9 @@ def test_matches_restart_reference_on_oracle_trials():
         spec = generate_trial(random.Random(master.getrandbits(64)), "generic", False)
 
         def build():
-            ledger, _, ref = _replay_on_engine(spec)
-            return build_graph(ledger.log, ledger.log.resolve(ref), ledger.log.next_seq)
+            runner, ref = _replay_on_engine(spec)
+            log = runner.ledger.log
+            return build_graph(log, log.resolve(ref), log.next_seq)
 
         rounds += assert_matches_reference(build)
     assert rounds > 500

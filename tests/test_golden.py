@@ -1,9 +1,11 @@
 """Byte-exact golden reports.
 
 Every scenario under `scenarios/` must replay to exactly the JSON committed in
-`tests/golden/<name>.json`, and `revtok oracle --trials 10000 --seed 41` must
-print exactly `tests/golden/oracle_10000_41.json`; no other golden file may
-exist, so a renamed or deleted scenario leaves none behind.  The oracle report carries
+`tests/golden/<name>.json`, and the report of `oracle_check(10000, 41)`, as
+`revtok oracle --trials 10000 --seed 41` prints it, must be exactly
+`tests/golden/oracle_10000_41.json` (`test_cli_oracle` checks that the CLI
+prints `oracle_report_json`'s bytes); no other golden file may exist, so a
+renamed or deleted scenario leaves none behind.  The oracle report carries
 only counts, so the same 10000 trials are also hashed, freeze output and all,
 against a committed digest.
 
@@ -18,17 +20,17 @@ import hashlib
 import json
 from pathlib import Path
 
+import conftest
 import pytest
 
 from revtok.cli import main as cli_main
 from revtok.freeze import build_graph, eliminate_cycles
-from revtok.oracle import GOVERNANCE, _replay_on_engine, oracle_trials
+from revtok.oracle import GOVERNANCE, _replay_on_engine, oracle_report_json, oracle_trials
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.scn"))
 
-ORACLE_ARGS = ["--trials", "10000", "--seed", "41"]
 ORACLE_GOLDEN = GOLDEN / "oracle_10000_41.json"
 # SHA-256 over the freeze output of each of the 10000 trials above.
 TRIAL_DIGEST = "6c17b21eb2bf9e46f6f4b2f73eb480d49bdb080e9fb4e116d1da4d6cb467857b"
@@ -60,10 +62,9 @@ def test_claim_books_close_from_the_report(path):
             assert books == reached, (claim["id"], node)
 
 
-def test_oracle_report_is_byte_identical(tmp_path):
-    out = tmp_path / "oracle.json"
-    assert cli_main(["oracle", *ORACLE_ARGS, "--out", str(out)]) == 0
-    assert out.read_bytes() == ORACLE_GOLDEN.read_bytes()
+def test_oracle_report_is_byte_identical():
+    report, _seconds = conftest.oracle_10000_41()
+    assert oracle_report_json(report).encode() == ORACLE_GOLDEN.read_bytes()
 
 
 def trial_digest(trials: int, seed: int) -> str:
@@ -71,24 +72,23 @@ def trial_digest(trials: int, seed: int) -> str:
     `oracle_check(trials, seed, "mixed")` generates them."""
     digest = hashlib.sha256()
     for spec in oracle_trials(trials, seed, "mixed"):
-        ledger, engine, ref = _replay_on_engine(spec)
-        victim = ledger.log.resolve(ref).sender
-        graph = eliminate_cycles(
-            build_graph(ledger.log, ledger.log.resolve(ref), ledger.log.next_seq)
-        )
+        runner, ref = _replay_on_engine(spec)
+        ledger, engine = runner.ledger, runner.freeze
+        record = ledger.log.resolve(ref)
+        graph = eliminate_cycles(build_graph(ledger.log, record, ledger.log.next_seq))
         ref_at = {rec.seq: r for r, rec in ledger.log.all_records()}
         plan = engine.claims[
-            engine.execute_freeze(ref, victim, ledger.current_block, GOVERNANCE)
+            engine.execute_freeze(ref, record.sender, ledger.current_block, GOVERNANCE)
         ].plan
         row = [
-            [(e.src, e.dst, e.value, e.seq) for e in graph.edges],
+            [(e.record.sender, e.record.to, e.value, e.record.seq) for e in graph.edges],
             sorted(plan.to_freeze.items()),
             sorted(plan.obligations.items()),
             sorted(plan.absorbed_by_burn.items()),
             sorted(plan.residual.items()),
             [
-                (ref_at[e.seq].epoch, ref_at[e.seq].sender, ref_at[e.seq].index,
-                 e.src, e.dst, e.seq, e.value, obligation)
+                (*ref_at[e.record.seq], e.record.sender, e.record.to, e.record.seq, e.value,
+                 obligation)
                 for e, obligation in plan.per_edge
             ],
             plan.nodes_visited,

@@ -104,6 +104,14 @@ def test_policy_validation():
                   quorum_steps=((100, 9),))
 
 
+def test_min_stake_defaults_to_two_rounds_of_fees_at_the_largest_quorum():
+    assert FeePolicy().min_stake == 24
+    assert FeePolicy(judge_fee=2).min_stake == 48
+    assert FeePolicy(judge_fee=1, quorum_size=3).min_stake == 6
+    assert FeePolicy(judge_fee=1, quorum_size=3, quorum_steps=((100, 9),)).min_stake == 18
+    assert FeePolicy(judge_fee=0).min_stake == 0
+
+
 def test_threshold_defaults_to_two_thirds():
     policy = FeePolicy(judge_fee=0, quorum_size=12, min_stake=0)
     assert policy.threshold("freeze_threshold", 12) == 8

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
 import pytest
 
-from revtok import ParseError
+from revtok import EpochConfig, FeePolicy, ParseError
 from revtok.cli import main as cli_main
 from revtok.ledger import BurnSource
-from revtok.scenario import parse_scenario, run_scenario_text
+from revtok.oracle import oracle_check, oracle_report_json
+from revtok.scenario import _parse_config, parse_scenario, run_scenario_text
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -182,6 +184,14 @@ def test_unexpected_error_is_a_failed_op():
     assert report["failedOps"][0]["line"] == 1
 
 
+def test_config_defaults_come_from_the_settings_classes():
+    assert _parse_config({}) == (EpochConfig(), FeePolicy())
+    for n, fee in itertools.product((1, 3, 12), (0, 1, 2, 5)):
+        policy = _parse_config({"n": str(n), "judgeFee": str(fee)})[1]
+        assert policy == FeePolicy(quorum_size=n, judge_fee=fee)
+    assert _parse_config({"delta": "10", "window": "50"})[0] == EpochConfig(10, 50)
+
+
 def test_config_must_precede_operations():
     with pytest.raises(ParseError) as err:
         parse_scenario("config delta=5\nmint to=a amount=1\nconfig window=9\n")
@@ -315,6 +325,7 @@ def test_cli_oracle(tmp_path):
     out = tmp_path / "oracle.json"
     assert cli_main(["oracle", "--trials", "40", "--seed", "5",
                      "--out", str(out)]) == 0
+    assert out.read_bytes() == oracle_report_json(oracle_check(40, 5)).encode()
     report = json.loads(out.read_text())
     assert report["pass"] is True
     assert report["trials"] == 40
