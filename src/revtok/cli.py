@@ -17,8 +17,8 @@ import sys
 from pathlib import Path
 
 from .errors import ParseError
-from .oracle import oracle_check, oracle_report_json
-from .scenario import run_scenario_text
+from .oracle import oracle_check
+from .scenario import report_json, run_scenario_text
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -57,14 +57,14 @@ def main(argv: list[str] | None = None) -> int:
         except ParseError as err:
             print(f"revtok: {path}: {err}", file=sys.stderr)
             return 2
-        _emit(result.to_json(), args.out)
+        _emit(report_json(result.report), args.out)
         return result.exit_code
 
     if args.trials <= 0:
         print("revtok: --trials must be positive", file=sys.stderr)
         return 2
     report = oracle_check(args.trials, args.seed, args.burns)
-    _emit(oracle_report_json(report), args.out)
+    _emit(report_json(report), args.out)
     return 0 if report["pass"] else 1
 
 

@@ -75,8 +75,9 @@ class TransferGraph:
 def build_graph(log: SpendLog, rec: SpendRecord, freeze_seq: int) -> TransferGraph:
     """Trace the funds of the disputed record `rec` through the spend log.
 
-    The caller has already resolved the disputed ref to `rec`, and the graph
-    is rooted at its recipient.  An account enters the graph when some
+    The caller has already resolved the disputed ref to `rec` and admitted it
+    (`FreezeEngine.disputed_record` refuses a burn record), and the graph is
+    rooted at its recipient.  An account enters the graph when some
     increasing-seq path from the disputed transfer reaches it; its outgoing
     records strictly between that first arrival and `freeze_seq` become edges.
     Burn records in the same span accumulate into burned_at instead, since
@@ -86,8 +87,6 @@ def build_graph(log: SpendLog, rec: SpendRecord, freeze_seq: int) -> TransferGra
     (arrival seq, account)); an account is settled once it is a key of
     `graph.out`, so each account's outgoing window is read exactly once.
     """
-    if rec.to is None:
-        raise InvalidDisputeError("a burn record cannot be disputed")
     graph = TransferGraph(root=rec.to)
     arrival: dict[Address, int] = {rec.to: rec.seq}
     heap: list[tuple[int, Address]] = [(rec.seq, rec.to)]

@@ -8,31 +8,34 @@ the engine's own arithmetic:
   the scenario's own number, not a recomputation);
 * every obligation handed to an edge must be covered by the obligation that
   reached the sender before it sent anything on, with arrivals, record
-  identities, and value caps all re-derived from the raw operation list and
+  identities, and value caps all re-derived from the trial's raw records and
   the per-node books required to balance exactly;
 * the frozen/absorbed/residual split must account for the full demand;
 * account floors, token conservation, and the linear work bound must hold;
 * on generated DAG economies, the whole freeze map is cross-checked against a
-  separate brute-force replay that never touches the engine's log or graph
-  machinery.
+  separate brute-force freeze over the raw records and balances that never
+  touches the engine's log or graph machinery.
 
 Trials come in three shapes: free-form (cycles welcome), layered (indexes only
-flow upward, guaranteeing a DAG so the brute-force replay applies), and
+flow upward, guaranteeing a DAG so the brute-force freeze applies), and
 interleaved (one hub account alternates incoming and outgoing transfers, the
 shape that stresses the newest-first obligation rule).
 
 A trial is a list of the `ScenarioOp`s that `parse_scenario` reads from its
-scenario text, replayed through `ScenarioRunner.dispatch`.  Each violation is
-that text under a comment naming the finding and the disputed transfer's
-line, so `revtok replay` runs it as is.
+scenario text, replayed through `ScenarioRunner.dispatch`.  As the generator
+adds each op it also books the op's effect in the trial's `RawBooks`, the
+oracle's one model of what an op does: the generators draw amounts from its
+balances, and the raw trace and the brute-force freeze read its final records
+and balances.  Each violation is the trial's text under a comment naming the
+finding and the disputed transfer's line, so `revtok replay` runs it as is.
 """
 
 from __future__ import annotations
 
-import json
 import random
+from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from .ledger import BurnSource
@@ -42,11 +45,37 @@ GOVERNANCE = "governance"
 
 
 @dataclass
+class RawBooks:
+    """What a trial's ops do, booked from the ops alone: reversible `r` and
+    non-reversible `nr` balances, and one raw (sender, to, amount) record per
+    transfer or burn in seq order, `to` None for a burn.  `apply` is the only
+    oracle code that maps an op to these effects; it shares no code with the
+    engine."""
+
+    r: Counter[str] = field(default_factory=Counter)
+    nr: Counter[str] = field(default_factory=Counter)
+    records: list[tuple[str, str | None, int]] = field(default_factory=list)
+
+    def apply(self, name: str, p: dict[str, Any]) -> None:
+        if name == "mint":
+            self.nr[p["to"]] += p["amount"]
+        elif name in ("transfer", "rtransfer"):
+            (self.r if name == "rtransfer" else self.nr)[p["from"]] -= p["amount"]
+            self.r[p["to"]] += p["amount"]
+            self.records.append((p["from"], p["to"], p["amount"]))
+        elif name == "burn":  # trials burn reversible funds only
+            self.r[p["from"]] -= p["amount"]
+            self.records.append((p["from"], None, p["amount"]))
+
+
+@dataclass
 class TrialSpec:
-    ops: list[ScenarioOp]  # starting with advanceBlock to=1
-    dispute: int  # index into ops of the disputed transfer
     shape: str
     burns: bool
+    ops: list[ScenarioOp] = field(default_factory=list)  # starting with advanceBlock to=1
+    dispute: int = 0  # index into ops of the disputed transfer
+    t0: int = 0  # index into books.records of the disputed transfer
+    books: RawBooks = field(default_factory=RawBooks)  # booked as each op is added
 
 
 def trial_text(spec: TrialSpec, finding: str) -> str:
@@ -56,36 +85,39 @@ def trial_text(spec: TrialSpec, finding: str) -> str:
     return head + "".join(f"{op.name} {op.label}\n" for op in spec.ops)
 
 
-def _add(ops: list[ScenarioOp], name: str, params: dict[str, Any]) -> None:
+def _add(spec: TrialSpec, name: str, params: dict[str, Any], disputed: bool = False) -> None:
     """Append the op `parse_scenario` reads from line `name key=value ...` of
-    `trial_text`, whose first line is its comment."""
+    `trial_text`, whose first line is its comment, and book it; `disputed`
+    marks it as the transfer the trial disputes."""
+    if disputed:
+        spec.dispute, spec.t0 = len(spec.ops), len(spec.books.records)
     label = " ".join(f"{key}={getattr(value, 'value', value)}" for key, value in params.items())
-    ops.append(ScenarioOp(len(ops) + 2, name, params, label=label))
+    spec.ops.append(ScenarioOp(len(spec.ops) + 2, name, params, label=label))
+    spec.books.apply(name, params)
 
 
 # -- generation ----------------------------------------------------------------
 
 
 def generate_trial(rng: random.Random, shape: str, burns: bool) -> TrialSpec:
-    ops: list[ScenarioOp] = []
-    _add(ops, "advanceBlock", {"to": 1})
+    spec = TrialSpec(shape, burns)
+    _add(spec, "advanceBlock", {"to": 1})
     if shape == "interleaved":
-        return _generate_interleaved(rng, ops, burns)
-    if shape == "layered":
-        return _generate_layered(rng, ops, burns)
-    return _generate_generic(rng, ops, burns)
+        _generate_interleaved(rng, spec)
+    elif shape == "layered":
+        _generate_layered(rng, spec)
+    else:
+        _generate_generic(rng, spec)
+    return spec
 
 
-def _generate_generic(rng: random.Random, ops: list[ScenarioOp], burns: bool) -> TrialSpec:
+def _generate_generic(rng: random.Random, spec: TrialSpec) -> None:
     addrs = ["a%d" % i for i in range(rng.randint(2, 7))]
     victim = "v"
-    nr = {a: 0 for a in addrs + [victim]}
-    r = {a: 0 for a in addrs + [victim]}
+    r, nr = spec.books.r, spec.books.nr
     block = 1
     for a in rng.sample(addrs, rng.randint(0, len(addrs) // 2 + 1)):
-        amount = rng.randint(1, 100)
-        _add(ops, "mint", {"to": a, "amount": amount})
-        nr[a] += amount
+        _add(spec, "mint", {"to": a, "amount": rng.randint(1, 100)})
     # a little pre-dispute traffic, eligible for exclusion by the trace rules
     for _ in range(rng.randint(0, 3)):
         senders = [a for a in addrs if nr[a] > 0]
@@ -93,107 +125,85 @@ def _generate_generic(rng: random.Random, ops: list[ScenarioOp], burns: bool) ->
             break
         frm = rng.choice(senders)
         amount = rng.randint(1, nr[frm])
-        to = rng.choice(addrs)
-        _add(ops, "transfer", {"from": frm, "to": to, "amount": amount})
-        nr[frm] -= amount
-        r[to] += amount
+        _add(spec, "transfer", {"from": frm, "to": rng.choice(addrs), "amount": amount})
     s = rng.randint(1, 100)
-    _add(ops, "mint", {"to": victim, "amount": s})
-    nr[victim] += s
-    root = rng.choice(addrs)
-    dispute = len(ops)
-    _add(ops, "transfer", {"from": victim, "to": root, "amount": s})
-    nr[victim] -= s
-    r[root] += s
+    _add(spec, "mint", {"to": victim, "amount": s})
+    _add(spec, "transfer", {"from": victim, "to": rng.choice(addrs), "amount": s}, disputed=True)
     for _ in range(rng.randint(1, 11)):
         if rng.random() < 0.2:
             block += rng.randint(1, 3)
-            _add(ops, "advanceBlock", {"to": block})
+            _add(spec, "advanceBlock", {"to": block})
             continue
         candidates = [a for a in addrs + [victim] if r[a] > 0 or nr[a] > 0]
         if not candidates:
             break
         frm = rng.choice(candidates)
         # self- and back-transfers welcome
-        _spend(rng, ops, r, nr, frm, lambda: rng.choice(addrs + [victim]), burns)
-    return TrialSpec(ops, dispute, "generic", burns)
+        _spend(rng, spec, frm, lambda: rng.choice(addrs + [victim]))
 
 
-def _generate_layered(rng: random.Random, ops: list[ScenarioOp], burns: bool) -> TrialSpec:
+def _generate_layered(rng: random.Random, spec: TrialSpec) -> None:
     """Post-dispute transfers only flow from lower to higher index: a DAG by
-    construction, so the brute-force replay can check the whole freeze map."""
+    construction, so the brute-force freeze can check the whole freeze map."""
     count = rng.randint(2, 6)
     addrs = ["n%d" % i for i in range(count)]
     victim = "v"
-    nr = {a: 0 for a in addrs}
-    r = {a: 0 for a in addrs}
+    r, nr = spec.books.r, spec.books.nr
     block = 1
     for a in rng.sample(addrs, rng.randint(0, count - 1)):
         amount = rng.randint(1, 60)
         if rng.random() < 0.5:
-            _add(ops, "mint", {"to": a, "amount": amount})
-            nr[a] += amount
+            _add(spec, "mint", {"to": a, "amount": amount})
         else:  # prior reversible funds arrive via a funder
-            _add(ops, "mint", {"to": "fund", "amount": amount})
-            _add(ops, "transfer", {"from": "fund", "to": a, "amount": amount})
-            r[a] += amount
+            _add(spec, "mint", {"to": "fund", "amount": amount})
+            _add(spec, "transfer", {"from": "fund", "to": a, "amount": amount})
     s = rng.randint(1, 100)
-    _add(ops, "mint", {"to": victim, "amount": s})
-    dispute = len(ops)
-    _add(ops, "transfer", {"from": victim, "to": addrs[0], "amount": s})
-    r[addrs[0]] += s
+    _add(spec, "mint", {"to": victim, "amount": s})
+    _add(spec, "transfer", {"from": victim, "to": addrs[0], "amount": s}, disputed=True)
     for _ in range(rng.randint(1, 9)):
         if rng.random() < 0.2:
             block += rng.randint(1, 3)
-            _add(ops, "advanceBlock", {"to": block})
+            _add(spec, "advanceBlock", {"to": block})
             continue
         lows = [i for i in range(count - 1) if r[addrs[i]] > 0 or nr[addrs[i]] > 0]
         if not lows:
             break
         i = rng.choice(lows)
-        _spend(rng, ops, r, nr, addrs[i],
-               lambda: addrs[rng.randint(i + 1, count - 1)], burns)
-    return TrialSpec(ops, dispute, "layered", burns)
+        _spend(rng, spec, addrs[i], lambda: addrs[rng.randint(i + 1, count - 1)])
 
 
-def _spend(rng, ops, r, nr, frm, pick_to, burns) -> None:
+def _spend(rng: random.Random, spec: TrialSpec, frm: str, pick_to) -> None:
     """One post-dispute move by `frm`: with burns, a quarter of the time a burn
     of reversible funds; otherwise a transfer to pick_to() from reversible
     funds, or from non-reversible ones when it holds no reversible funds or,
     holding both kinds, three times in ten."""
-    if burns and r[frm] > 0 and rng.random() < 0.25:
+    r, nr = spec.books.r, spec.books.nr
+    if spec.burns and r[frm] > 0 and rng.random() < 0.25:
         amount = rng.randint(1, min(r[frm], 100))
-        _add(ops, "burn", {"from": frm, "amount": amount, "source": BurnSource.REVERSIBLE})
-        r[frm] -= amount
+        _add(spec, "burn", {"from": frm, "amount": amount, "source": BurnSource.REVERSIBLE})
         return
     use_r = r[frm] > 0 and (nr[frm] == 0 or rng.random() < 0.7)
-    pool = r if use_r else nr
-    amount = rng.randint(1, min(pool[frm], 100))
-    to = pick_to()
-    _add(ops, "rtransfer" if use_r else "transfer", {"from": frm, "to": to, "amount": amount})
-    pool[frm] -= amount
-    r[to] += amount
+    amount = rng.randint(1, min((r if use_r else nr)[frm], 100))
+    name = "rtransfer" if use_r else "transfer"
+    _add(spec, name, {"from": frm, "to": pick_to(), "amount": amount})
 
 
-def _generate_interleaved(rng: random.Random, ops: list[ScenarioOp], burns: bool) -> TrialSpec:
+def _generate_interleaved(rng: random.Random, spec: TrialSpec) -> None:
     """The disputed recipient drips funds into a hub, which spends between the
     arrivals, so obligations must respect which money was there when."""
     victim, parent, hub = "v", "p", "h"
+    r = spec.books.r
     m = rng.randint(1, 4)
     sinks = ["b%d" % j for j in range(m)]
     block = 1
     if rng.random() < 0.5:  # optional prior reversible funds at the hub
         prior = rng.randint(1, 30)
-        _add(ops, "mint", {"to": "fund", "amount": prior})
-        _add(ops, "transfer", {"from": "fund", "to": hub, "amount": prior})
-        hub_r = prior
-    else:
-        hub_r = 0
+        _add(spec, "mint", {"to": "fund", "amount": prior})
+        _add(spec, "transfer", {"from": "fund", "to": hub, "amount": prior})
     s = rng.randint(m + 1, 100)
-    _add(ops, "mint", {"to": victim, "amount": s})
-    dispute = len(ops)
-    _add(ops, "transfer", {"from": victim, "to": parent, "amount": s})
-    parent_r = s
+    _add(spec, "mint", {"to": victim, "amount": s})
+    _add(spec, "transfer", {"from": victim, "to": parent, "amount": s}, disputed=True)
+    parent_r = s  # what the chunks below have yet to take, not a balance
     chunks = []
     for _ in range(m + 1):
         if parent_r == 0:
@@ -202,20 +212,17 @@ def _generate_interleaved(rng: random.Random, ops: list[ScenarioOp], burns: bool
         chunks.append(x)
         parent_r -= x
     for j, x in enumerate(chunks):
-        _add(ops, "rtransfer", {"from": parent, "to": hub, "amount": x})
-        hub_r += x
-        if j < len(sinks) and hub_r > 0:
-            burn = burns and rng.random() < 0.25
-            y = rng.randint(1, min(hub_r, 100))
+        _add(spec, "rtransfer", {"from": parent, "to": hub, "amount": x})
+        if j < len(sinks) and r[hub] > 0:
+            burn = spec.burns and rng.random() < 0.25
+            y = rng.randint(1, min(r[hub], 100))
             if burn:
-                _add(ops, "burn", {"from": hub, "amount": y, "source": BurnSource.REVERSIBLE})
+                _add(spec, "burn", {"from": hub, "amount": y, "source": BurnSource.REVERSIBLE})
             else:
-                _add(ops, "rtransfer", {"from": hub, "to": sinks[j], "amount": y})
-            hub_r -= y
+                _add(spec, "rtransfer", {"from": hub, "to": sinks[j], "amount": y})
         if rng.random() < 0.3:
             block += 1
-            _add(ops, "advanceBlock", {"to": block})
-    return TrialSpec(ops, dispute, "interleaved", burns)
+            _add(spec, "advanceBlock", {"to": block})
 
 
 # -- execution -------------------------------------------------------------------
@@ -230,23 +237,14 @@ def _replay_on_engine(spec: TrialSpec):
 
 
 def _trace_raw(spec: TrialSpec):
-    """Replay the taint trace from the op list alone.
+    """The taint trace over the trial's raw records, `spec.books.records`.
 
     Returns the raw records as (sender, to, amount) per seq, the disputed
     record's seq t0, each tainted address's earliest arrival seq, the tainted
     edges as (src, dst, amount, seq), and the burns each tainted address made
     after its arrival.
     """
-    records: list[tuple[str, str | None, int]] = []
-    t0 = -1
-    for i, op in enumerate(spec.ops):
-        if i == spec.dispute:
-            t0 = len(records)
-        p = op.params
-        if op.name in ("transfer", "rtransfer"):
-            records.append((p["from"], p["to"], p["amount"]))
-        elif op.name == "burn":  # trials burn reversible funds only
-            records.append((p["from"], None, p["amount"]))
+    records, t0 = spec.books.records, spec.t0
     arrival = {records[t0][1]: t0}
     edges = []  # (src, dst, amount, seq)
     burned: dict[str, int] = {}
@@ -267,21 +265,12 @@ def _trace_raw(spec: TrialSpec):
 def reference_freeze(spec: TrialSpec, trace) -> dict[str, int]:
     """Brute-force freeze map for DAG-shaped trials, positive amounts only.
 
-    Replays reversible balances with a plain dict, takes the tainted edges
-    from `trace`, the `_trace_raw(spec)` result, topologically sorts with
-    Kahn's algorithm, and hands out obligations newest-first.  Shares no code
-    or data structures with the engine path.
+    Reads final reversible balances from `spec.books`, takes the tainted
+    edges from `trace`, the `_trace_raw(spec)` result, topologically sorts
+    with Kahn's algorithm, and hands out obligations newest-first.  Shares no
+    code or data structures with the engine path.
     """
-    r: dict[str, int] = {}
-    for op in spec.ops:
-        p = op.params
-        if op.name == "transfer":
-            r[p["to"]] = r.get(p["to"], 0) + p["amount"]
-        elif op.name == "rtransfer":
-            r[p["from"]] -= p["amount"]
-            r[p["to"]] = r.get(p["to"], 0) + p["amount"]
-        elif op.name == "burn":
-            r[p["from"]] -= p["amount"]
+    r = spec.books.r
     records, t0, arrival, edges, burned = trace
     root, demand = records[t0][1], records[t0][2]
 
@@ -302,7 +291,7 @@ def reference_freeze(spec: TrialSpec, trace) -> dict[str, int]:
         node = queue[head]
         head += 1
         pending = oblig[node]
-        frozen = min(pending, r.get(node, 0))
+        frozen = min(pending, r[node])
         if frozen:
             to_freeze[node] = frozen
         remaining = pending - frozen - burned.get(node, 0)
@@ -317,7 +306,7 @@ def reference_freeze(spec: TrialSpec, trace) -> dict[str, int]:
             indegree[edge[1]] -= 1
             if indegree[edge[1]] == 0:
                 queue.append(edge[1])
-    assert len(queue) == len(nodes), "reference replay requires a DAG trial"
+    assert len(queue) == len(nodes), "reference freeze requires a DAG trial"
     return to_freeze
 
 
@@ -377,7 +366,7 @@ def run_and_check(spec: TrialSpec) -> list[str]:
 
 
 def _check_obligation_bound(trace, plan, demand: int) -> list[str]:
-    """Audit the per-edge rows against the raw op list, as `_trace_raw` replays it.
+    """Audit the per-edge rows against the raw records `_trace_raw` returns.
 
     All obligation into a node is assigned while its senders are processed,
     strictly before the node hands anything on, so the obligation reaching a
@@ -492,6 +481,3 @@ def oracle_check(trials: int, seed: int, burns: str = "mixed") -> dict:
         "pass": not violations,
     }
 
-
-def oracle_report_json(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from .errors import (
@@ -40,7 +40,7 @@ from .governance import (
     Vote,
     commitment_hash,
 )
-from .ledger import BurnSource, TokenLedger
+from .ledger import AccountState, BurnSource, TokenLedger
 from .nft import NftRegistry
 from .spendlog import EpochConfig, SpendRef
 
@@ -93,8 +93,6 @@ _MARKS = "#*%!?"
 _CHOICES = {"source": BurnSource, "vote": Vote}
 # A `#` at line start or after whitespace starts a comment.
 _COMMENT = re.compile(r"(?:^|\s)#")
-# An address the ledger holds no account for reads as zeros.
-_NO_ACCOUNT = {"reversible": 0, "nonreversible": 0, "frozen": 0}
 
 
 @dataclass
@@ -223,8 +221,10 @@ class RunResult:
     report: dict[str, Any]
     exit_code: int
 
-    def to_json(self) -> str:
-        return json.dumps(self.report, sort_keys=True, indent=2) + "\n"
+
+def report_json(report: dict[str, Any]) -> str:
+    """A scenario or oracle report as its byte-stable JSON text."""
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 # Config key -> (settings class, field, parser).  An absent key leaves the
@@ -341,7 +341,7 @@ class ScenarioRunner:
                                p.get("source", BurnSource.NONREVERSIBLE))
         if op.name == "clean":
             report = ledger.clean(p["epoch"], p["senders"], block)
-            self.clean_reports.append({"line": op.line, **report.as_dict()})
+            self.clean_reports.append({"line": op.line, **asdict(report)})
             return report
         if op.name == "nftMint":
             return self.nft.mint(p["token"], p["to"], block)
@@ -404,19 +404,10 @@ class ScenarioRunner:
         `spends`, `claims`, `cases` and `nfts`.  The report and every `expect`
         line read engine state only through this view, built when one of them
         needs it; `dispatch` never builds it."""
-        accounts = {
-            addr: {
-                "reversible": acct.reversible,
-                "nonreversible": acct.nonreversible,
-                "frozen": acct.frozen,
-            }
-            for addr, acct in sorted(self.ledger.accounts.items())
-        }
+        accounts = {addr: asdict(acct) for addr, acct in sorted(self.ledger.accounts.items())}
         spends = [
             {
-                "epoch": ref.epoch,
-                "sender": ref.sender,
-                "index": ref.index,
+                **ref._asdict(),
                 "to": rec.to,
                 "amount": rec.amount,
                 "original": rec.original_amount,
@@ -430,11 +421,7 @@ class ScenarioRunner:
                 "id": claim.claim_id,
                 "victim": claim.victim,
                 "status": claim.status.value,
-                "disputed": {
-                    "epoch": claim.disputed.epoch,
-                    "sender": claim.disputed.sender,
-                    "index": claim.disputed.index,
-                },
+                "disputed": claim.disputed._asdict(),
                 "toFreeze": dict(sorted(claim.plan.to_freeze.items())),
                 "obligations": dict(sorted(claim.plan.obligations.items())),
                 "absorbedByBurn": dict(sorted(claim.plan.absorbed_by_burn.items())),
@@ -505,7 +492,7 @@ def _view_facts(view: dict[str, Any], p: dict[str, Any]) -> dict[str, Any]:
     case, token, spend or claim the view lacks raises the engine's error."""
     kind = p["kind"]
     if kind == "balance":
-        acct = view["accounts"].get(p["addr"], _NO_ACCOUNT)
+        acct = view["accounts"].get(p["addr"], asdict(AccountState()))
         return {
             "r": acct["reversible"],
             "nr": acct["nonreversible"],

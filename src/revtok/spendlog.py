@@ -194,18 +194,3 @@ class BucketCleanResult:
 @dataclass
 class CleanReport:
     buckets: list[BucketCleanResult] = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "buckets": [
-                {
-                    "epoch": b.epoch,
-                    "sender": b.sender,
-                    "status": b.status,
-                    "reason": b.reason,
-                    "deleted": b.deleted,
-                    "moved": dict(sorted(b.moved.items())),
-                }
-                for b in self.buckets
-            ]
-        }

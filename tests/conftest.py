@@ -21,11 +21,14 @@ from revtok import (
     commitment_hash,
 )
 from revtok.oracle import oracle_check
+from revtok.spendlog import DEFAULT_DISPUTE_WINDOW, DEFAULT_EPOCH_LENGTH
 
 GOV = "governance"
 
 
-def make_ledger(epoch_length: int = 1000, window: int = 24000) -> TokenLedger:
+def make_ledger(
+    epoch_length: int = DEFAULT_EPOCH_LENGTH, window: int = DEFAULT_DISPUTE_WINDOW
+) -> TokenLedger:
     return TokenLedger(EpochConfig(epoch_length=epoch_length, dispute_window=window))
 
 
@@ -37,8 +40,8 @@ def make_engine(ledger: TokenLedger | None = None) -> tuple[TokenLedger, FreezeE
 def make_stack(
     n_judges: int = 1,
     pool_size: int | None = None,
-    epoch_length: int = 1000,
-    window: int = 24000,
+    epoch_length: int = DEFAULT_EPOCH_LENGTH,
+    window: int = DEFAULT_DISPUTE_WINDOW,
     **policy_kwargs,
 ):
     """Full environment: ledger, freeze engine, NFT registry, governance."""

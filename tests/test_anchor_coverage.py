@@ -20,8 +20,8 @@ from collections.abc import Iterator
 from pathlib import Path
 
 import revtok
-from revtok.oracle import oracle_check, oracle_report_json
-from revtok.scenario import run_scenario_text
+from revtok.oracle import oracle_check
+from revtok.scenario import report_json, run_scenario_text
 
 SRC = Path(revtok.__file__).resolve().parent
 SCENARIOS = sorted((SRC.parent.parent / "scenarios").glob("*.scn"))
@@ -31,7 +31,7 @@ SCENARIOS = sorted((SRC.parent.parent / "scenarios").glob("*.scn"))
 # a first line that two statements share appears twice.
 UNREACHED: dict[str, list[tuple[str, str, str]]] = {
     "graph views and the claims' filing order, read only by perfbench and the "
-    "tests; claim_order goes once perfbench reads `engine.claims` (ROADMAP item 4)": [
+    "tests; claim_order goes once perfbench reads `engine.claims`": [
         ("freeze.py", "TransferGraph.nodes", "return list(self.out)"),
         ("freeze.py", "TransferGraph.edges",
          "return [e for edges in self.out.values() for e in edges]"),
@@ -47,7 +47,7 @@ UNREACHED: dict[str, list[tuple[str, str, str]]] = {
         ("governance.py", "JudgePool.__init__", "self.add(judge)"),
     ],
     "judge discipline and amount-scaled quorums, which no scenario op or config "
-    "key drives (ROADMAP item 3)": [
+    "key drives": [
         ("governance.py", "FeePolicy.quorum_for", "if amount >= floor:"),
         ("governance.py", "FeePolicy.quorum_for", "n = size"),
         ("governance.py", "Governance._record_conduct", "self.pool.minority[judge] += 1"),
@@ -164,8 +164,8 @@ def _function_statements(path: Path) -> Iterator[tuple[str, ast.stmt]]:
 def _run_anchors() -> None:
     """Produce every golden report in the form its golden file holds."""
     for path in SCENARIOS:
-        run_scenario_text(path.read_text(), path.stem).to_json()
-    oracle_report_json(oracle_check(200, 41))
+        report_json(run_scenario_text(path.read_text(), path.stem).report)
+    report_json(oracle_check(200, 41))
 
 
 def unreached() -> Counter[tuple[str, str, str]]:

@@ -4,12 +4,9 @@ import itertools
 import random
 from typing import Iterator
 
-import pytest
-
 from revtok import (
     BurnSource,
     GraphEdge,
-    InvalidDisputeError,
     TransferGraph,
     build_graph,
     eliminate_cycles,
@@ -66,14 +63,6 @@ def test_burns_collect_into_burned_at(ledger):
     g = graph_of(ledger, ref)
     assert g.burned_at == {"a0": 5}
     assert g.edges == []
-
-
-def test_disputing_a_burn_record_fails(ledger):
-    ledger.mint("v", 10, block=1)
-    ledger.transfer("v", "a0", 10, block=1)
-    burn_ref = ledger.burn("a0", 3, block=2, source=BurnSource.REVERSIBLE)
-    with pytest.raises(InvalidDisputeError):
-        graph_of(ledger, burn_ref)
 
 
 def test_per_source_edges_are_newest_first(ledger):

@@ -4,7 +4,7 @@ Every scenario under `scenarios/` must replay to exactly the JSON committed in
 `tests/golden/<name>.json`, and the report of `oracle_check(10000, 41)`, as
 `revtok oracle --trials 10000 --seed 41` prints it, must be exactly
 `tests/golden/oracle_10000_41.json` (`test_cli_oracle` checks that the CLI
-prints `oracle_report_json`'s bytes); no other golden file may exist, so a
+prints `report_json`'s bytes); no other golden file may exist, so a
 renamed or deleted scenario leaves none behind.  The oracle report carries
 only counts, so the same 10000 trials are also hashed, freeze output and all,
 against a committed digest.
@@ -25,7 +25,8 @@ import pytest
 
 from revtok.cli import main as cli_main
 from revtok.freeze import build_graph, eliminate_cycles
-from revtok.oracle import GOVERNANCE, _replay_on_engine, oracle_report_json, oracle_trials
+from revtok.oracle import GOVERNANCE, _replay_on_engine, oracle_trials
+from revtok.scenario import report_json
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -64,7 +65,7 @@ def test_claim_books_close_from_the_report(path):
 
 def test_oracle_report_is_byte_identical():
     report, _seconds = conftest.oracle_10000_41()
-    assert oracle_report_json(report).encode() == ORACLE_GOLDEN.read_bytes()
+    assert report_json(report).encode() == ORACLE_GOLDEN.read_bytes()
 
 
 def trial_digest(trials: int, seed: int) -> str:

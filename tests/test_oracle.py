@@ -9,13 +9,12 @@ from revtok.oracle import (
     _trace_raw,
     generate_trial,
     oracle_check,
-    oracle_report_json,
     oracle_trials,
     reference_freeze,
     run_and_check,
     trial_text,
 )
-from revtok.scenario import ScenarioRunner, parse_scenario, run_scenario_text
+from revtok.scenario import ScenarioRunner, parse_scenario, report_json, run_scenario_text
 
 
 def test_every_shape_generates_and_checks_clean():
@@ -55,8 +54,8 @@ def test_oracle_check_report_is_deterministic():
     assert a["violations"] == []
     assert a["trials"] == 30
     assert set(a["shapes"]) <= set(SHAPES)
-    assert oracle_report_json(a) == oracle_report_json(b)
-    assert oracle_report_json(a).endswith("\n")
+    assert report_json(a) == report_json(b)
+    assert report_json(a).endswith("\n")
 
 
 def test_oracle_check_distinguishes_seeds():
@@ -122,8 +121,9 @@ def test_oracle_catches_a_broken_engine(monkeypatch, tmp_path):
 
 
 def test_trial_text_replays_the_trial():
-    # the text a violation carries parses back to its trial's ops, and the
-    # scenario runner reaches the state the oracle's own replay reaches
+    # the text a violation carries parses back to its trial's ops, the
+    # scenario runner reaches the state the oracle's own replay reaches, and
+    # the trial's raw books agree with that state's balances and spend records
     for spec in oracle_trials(3000, 41, "mixed"):
         text = trial_text(spec, "finding")
         assert parse_scenario(text) == spec.ops
@@ -131,6 +131,13 @@ def test_trial_text_replays_the_trial():
         assert result.exit_code == 0
         state = _replay_on_engine(spec)[0].state()
         assert {block: result.report[block] for block in state} == state
+        for books, field in ((spec.books.r, "reversible"), (spec.books.nr, "nonreversible")):
+            assert {addr: n for addr, n in books.items() if n} == {
+                addr: acct[field] for addr, acct in state["accounts"].items() if acct[field]
+            }
+        assert spec.books.records == [
+            (row["sender"], row["to"], row["original"]) for row in state["spends"]
+        ]
 
 
 def test_oracle_catches_an_inflated_edge_obligation():

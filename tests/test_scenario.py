@@ -9,8 +9,8 @@ import pytest
 from revtok import EpochConfig, FeePolicy, ParseError
 from revtok.cli import main as cli_main
 from revtok.ledger import BurnSource
-from revtok.oracle import oracle_check, oracle_report_json
-from revtok.scenario import _parse_config, parse_scenario, run_scenario_text
+from revtok.oracle import oracle_check
+from revtok.scenario import _parse_config, parse_scenario, report_json, run_scenario_text
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -137,7 +137,7 @@ def test_claim_selector_accepts_last_and_numbers():
 def test_basic_scenario_passes():
     res = run_scenario_text(BASIC, "basic")
     assert res.exit_code == 0
-    report = json.loads(res.to_json())
+    report = json.loads(report_json(res.report))
     assert all(c["pass"] for c in report["checks"])
     assert report["accounts"]["a"]["nonreversible"] == 10
     assert report["failedOps"] == []
@@ -146,14 +146,14 @@ def test_basic_scenario_passes():
 def test_check_label_is_the_text_as_written():
     res = run_scenario_text("mint to=a amount=10\nexpect kind=balance addr=a nr=010\n", "label")
     assert res.exit_code == 0
-    check, = json.loads(res.to_json())["checks"]
+    check, = json.loads(report_json(res.report))["checks"]
     assert check["label"] == "kind=balance addr=a nr=010"
 
 
 def test_failing_check_sets_exit_code():
     res = run_scenario_text("mint to=a amount=5\nexpect kind=balance addr=a nr=6\n", "bad")
     assert res.exit_code == 1
-    check = json.loads(res.to_json())["checks"][0]
+    check = json.loads(report_json(res.report))["checks"][0]
     assert check["pass"] is False
     assert "expected 6" in check["detail"]
 
@@ -179,7 +179,7 @@ def test_expect_error_matches_and_mismatches():
 def test_unexpected_error_is_a_failed_op():
     res = run_scenario_text("transfer from=a to=b amount=1\n", "boom")
     assert res.exit_code == 1
-    report = json.loads(res.to_json())
+    report = json.loads(report_json(res.report))
     assert report["failedOps"][0]["error"] == "InsufficientNonReversibleError"
     assert report["failedOps"][0]["line"] == 1
 
@@ -213,8 +213,8 @@ def test_malformed_config_value_fails(setting):
 
 
 def test_reports_are_byte_deterministic():
-    a = run_scenario_text(BASIC, "basic").to_json()
-    b = run_scenario_text(BASIC, "basic").to_json()
+    a = report_json(run_scenario_text(BASIC, "basic").report)
+    b = report_json(run_scenario_text(BASIC, "basic").report)
     assert a == b
     assert a.endswith("\n")
     # canonical JSON: sorted keys, no timestamps
@@ -227,7 +227,7 @@ def test_reports_are_byte_deterministic():
                          ids=lambda p: p.stem)
 def test_golden_scenarios_pass(path):
     res = run_scenario_text(path.read_text(), path.stem)
-    report = json.loads(res.to_json())
+    report = json.loads(report_json(res.report))
     failing = [c for c in report["checks"] if not c["pass"]]
     assert failing == [] and report["failedOps"] == []
     assert res.exit_code == 0
@@ -325,7 +325,7 @@ def test_cli_oracle(tmp_path):
     out = tmp_path / "oracle.json"
     assert cli_main(["oracle", "--trials", "40", "--seed", "5",
                      "--out", str(out)]) == 0
-    assert out.read_bytes() == oracle_report_json(oracle_check(40, 5)).encode()
+    assert out.read_bytes() == report_json(oracle_check(40, 5)).encode()
     report = json.loads(out.read_text())
     assert report["pass"] is True
     assert report["trials"] == 40

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -167,7 +168,7 @@ def test_clean_report_shape():
     ledger.mint("a", 5, block=1)
     ledger.transfer("a", "b", 5, block=1)
     rep = ledger.clean(0, ["a", "z"], block=30)
-    d = rep.as_dict()
+    d = asdict(rep)
     assert d["buckets"][0]["status"] == "cleaned"
     assert d["buckets"][1] == {
         "epoch": 0, "sender": "z", "status": "skipped", "reason": "empty",
