@@ -4,10 +4,11 @@
     revtok oracle --trials N --seed S [--burns {none,mixed}] [--out FILE]
 
 Exit codes: 0 success, 1 a check or trial failed, 2 usage or parse error (a
-scenario line with an unknown key, a malformed integer or hex value, an
-`expect` that compares nothing, or a `config` line that follows another
-operation or holds an unknown key or a bad value is a parse error).  Reports are byte-identical
-for identical inputs and carry no timing.
+scenario file that is not UTF-8, or a line with an unknown key, a malformed
+integer or hex value, an `expect` that compares nothing, or a `config` line
+that follows another operation or holds an unknown key or a bad value, is a
+parse error).  Reports are byte-identical for identical inputs and carry no
+timing.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         try:
             result = run_scenario_text(path.read_text(encoding="utf-8"), path.stem)
-        except ParseError as err:
+        except (ParseError, UnicodeDecodeError) as err:
             print(f"revtok: {path}: {err}", file=sys.stderr)
             return 2
         _emit(report_json(result.report), args.out)

@@ -102,6 +102,10 @@ class FeePolicy:
             raise ValueError("judge_fee must be >= 0 and quorum_size positive")
         if self.tip_to not in ("prevailing", "burn"):
             raise ValueError("tip_to must be 'prevailing' or 'burn'")
+        if min(self.reveal_deadline, self.strike_limit, self.min_cases) < 1:
+            raise ValueError("reveal_deadline, strike_limit and min_cases must be positive")
+        if self.extreme_minority_max < 0 or not 0 <= self.minority_ratio <= 1:
+            raise ValueError("extreme_minority_max must be >= 0 and minority_ratio in [0, 1]")
         largest = max([self.quorum_size, *(n for _, n in self.quorum_steps)])
         fees = 2 * largest * self.judge_fee
         if self.min_stake is None:

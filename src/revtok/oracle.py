@@ -4,8 +4,8 @@ Each trial builds a small random economy, disputes one transfer, runs the real
 engine end to end, and then checks properties that do not depend on trusting
 the engine's own arithmetic:
 
-* burn-free trials must freeze exactly the disputed amount (sum check against
-  the scenario's own number, not a recomputation);
+* burn-free trials must freeze exactly the disputed amount, read from the
+  trial's raw books rather than from the engine's record of the transfer;
 * every obligation handed to an edge must be covered by the obligation that
   reached the sender before it sent anything on, with arrivals, record
   identities, and value caps all re-derived from the trial's raw records and
@@ -27,7 +27,9 @@ adds each op it also books the op's effect in the trial's `RawBooks`, the
 oracle's one model of what an op does: the generators draw amounts from its
 balances, and the raw trace and the brute-force freeze read its final records
 and balances.  Each violation is the trial's text under a comment naming the
-finding and the disputed transfer's line, so `revtok replay` runs it as is.
+finding and the disputed transfer's line.  `revtok replay` runs that text as
+is, rebuilding the economy, but files no claim: dispute the named line to
+reproduce the finding.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ from typing import Any
 
 from .ledger import BurnSource
 from .scenario import ScenarioOp, ScenarioRunner
-
-GOVERNANCE = "governance"
 
 
 @dataclass
@@ -114,8 +114,7 @@ def generate_trial(rng: random.Random, shape: str, burns: bool) -> TrialSpec:
 def _generate_generic(rng: random.Random, spec: TrialSpec) -> None:
     addrs = ["a%d" % i for i in range(rng.randint(2, 7))]
     victim = "v"
-    r, nr = spec.books.r, spec.books.nr
-    block = 1
+    nr = spec.books.nr
     for a in rng.sample(addrs, rng.randint(0, len(addrs) // 2 + 1)):
         _add(spec, "mint", {"to": a, "amount": rng.randint(1, 100)})
     # a little pre-dispute traffic, eligible for exclusion by the trace rules
@@ -129,17 +128,8 @@ def _generate_generic(rng: random.Random, spec: TrialSpec) -> None:
     s = rng.randint(1, 100)
     _add(spec, "mint", {"to": victim, "amount": s})
     _add(spec, "transfer", {"from": victim, "to": rng.choice(addrs), "amount": s}, disputed=True)
-    for _ in range(rng.randint(1, 11)):
-        if rng.random() < 0.2:
-            block += rng.randint(1, 3)
-            _add(spec, "advanceBlock", {"to": block})
-            continue
-        candidates = [a for a in addrs + [victim] if r[a] > 0 or nr[a] > 0]
-        if not candidates:
-            break
-        frm = rng.choice(candidates)
-        # self- and back-transfers welcome
-        _spend(rng, spec, frm, lambda: rng.choice(addrs + [victim]))
+    everyone = addrs + [victim]  # self- and back-transfers welcome
+    _traffic(rng, spec, rng.randint(1, 11), everyone, lambda _frm: rng.choice(everyone))
 
 
 def _generate_layered(rng: random.Random, spec: TrialSpec) -> None:
@@ -148,8 +138,6 @@ def _generate_layered(rng: random.Random, spec: TrialSpec) -> None:
     count = rng.randint(2, 6)
     addrs = ["n%d" % i for i in range(count)]
     victim = "v"
-    r, nr = spec.books.r, spec.books.nr
-    block = 1
     for a in rng.sample(addrs, rng.randint(0, count - 1)):
         amount = rng.randint(1, 60)
         if rng.random() < 0.5:
@@ -160,32 +148,36 @@ def _generate_layered(rng: random.Random, spec: TrialSpec) -> None:
     s = rng.randint(1, 100)
     _add(spec, "mint", {"to": victim, "amount": s})
     _add(spec, "transfer", {"from": victim, "to": addrs[0], "amount": s}, disputed=True)
-    for _ in range(rng.randint(1, 9)):
+    _traffic(rng, spec, rng.randint(1, 9), addrs[:-1],
+             lambda frm: addrs[rng.randint(addrs.index(frm) + 1, count - 1)])
+
+
+def _traffic(rng: random.Random, spec: TrialSpec, steps: int, senders: list[str],
+             pick_to) -> None:
+    """Up to `steps` post-dispute moves: a fifth skip one to three blocks, the
+    rest are by one of `senders` holding funds, until none does.  With burns,
+    a quarter of those burn reversible funds; the others transfer to
+    pick_to(sender) from reversible funds, or from non-reversible ones when
+    the sender has no reversible funds or, having both, three times in ten."""
+    r, nr = spec.books.r, spec.books.nr
+    block = 1
+    for _ in range(steps):
         if rng.random() < 0.2:
             block += rng.randint(1, 3)
             _add(spec, "advanceBlock", {"to": block})
             continue
-        lows = [i for i in range(count - 1) if r[addrs[i]] > 0 or nr[addrs[i]] > 0]
-        if not lows:
+        funded = [a for a in senders if r[a] > 0 or nr[a] > 0]
+        if not funded:
             break
-        i = rng.choice(lows)
-        _spend(rng, spec, addrs[i], lambda: addrs[rng.randint(i + 1, count - 1)])
-
-
-def _spend(rng: random.Random, spec: TrialSpec, frm: str, pick_to) -> None:
-    """One post-dispute move by `frm`: with burns, a quarter of the time a burn
-    of reversible funds; otherwise a transfer to pick_to() from reversible
-    funds, or from non-reversible ones when it holds no reversible funds or,
-    holding both kinds, three times in ten."""
-    r, nr = spec.books.r, spec.books.nr
-    if spec.burns and r[frm] > 0 and rng.random() < 0.25:
-        amount = rng.randint(1, min(r[frm], 100))
-        _add(spec, "burn", {"from": frm, "amount": amount, "source": BurnSource.REVERSIBLE})
-        return
-    use_r = r[frm] > 0 and (nr[frm] == 0 or rng.random() < 0.7)
-    amount = rng.randint(1, min((r if use_r else nr)[frm], 100))
-    name = "rtransfer" if use_r else "transfer"
-    _add(spec, name, {"from": frm, "to": pick_to(), "amount": amount})
+        frm = rng.choice(funded)
+        if spec.burns and r[frm] > 0 and rng.random() < 0.25:
+            amount = rng.randint(1, min(r[frm], 100))
+            _add(spec, "burn", {"from": frm, "amount": amount, "source": BurnSource.REVERSIBLE})
+            continue
+        use_r = r[frm] > 0 and (nr[frm] == 0 or rng.random() < 0.7)
+        amount = rng.randint(1, min((r if use_r else nr)[frm], 100))
+        name = "rtransfer" if use_r else "transfer"
+        _add(spec, name, {"from": frm, "to": pick_to(frm), "amount": amount})
 
 
 def _generate_interleaved(rng: random.Random, spec: TrialSpec) -> None:
@@ -236,6 +228,17 @@ def _replay_on_engine(spec: TrialSpec):
     return runner, results[spec.dispute]
 
 
+def file_trial_claim(spec: TrialSpec, before=lambda ledger, ref: None):
+    """Replay the trial on the engine and file its victim's claim on the
+    disputed transfer; `before(ledger, ref)` sees the ledger just before the
+    claim is filed.  Returns the ledger and the claim's plan."""
+    runner, ref = _replay_on_engine(spec)
+    before(runner.ledger, ref)
+    engine, victim = runner.freeze, spec.books.records[spec.t0][0]
+    claim_id = engine.execute_freeze(ref, victim, runner.ledger.current_block, engine.governance)
+    return runner.ledger, engine.claims[claim_id].plan
+
+
 def _trace_raw(spec: TrialSpec):
     """The taint trace over the trial's raw records, `spec.books.records`.
 
@@ -272,7 +275,7 @@ def reference_freeze(spec: TrialSpec, trace) -> dict[str, int]:
     """
     r = spec.books.r
     records, t0, arrival, edges, burned = trace
-    root, demand = records[t0][1], records[t0][2]
+    _victim, root, demand = records[t0]
 
     nodes = list(arrival)
     outgoing: dict[str, list[tuple[str, str, int, int]]] = {n: [] for n in nodes}
@@ -315,26 +318,22 @@ def reference_freeze(spec: TrialSpec, trace) -> dict[str, int]:
 
 def run_and_check(spec: TrialSpec) -> list[str]:
     """All violations found in one trial (empty list means it passed)."""
-    runner, ref = _replay_on_engine(spec)
-    ledger, engine = runner.ledger, runner.freeze
-    record = ledger.log.resolve(ref)
-    demand = record.amount
-    claim_id = engine.execute_freeze(ref, record.sender, ledger.current_block, GOVERNANCE)
-    plan = engine.claims[claim_id].plan
+    ledger, plan = file_trial_claim(spec)
     trace = _trace_raw(spec)
+    demand = spec.books.records[spec.t0][2]
     violations: list[str] = []
 
     def bad(kind: str, detail: str) -> None:
         violations.append(trial_text(spec, f"{kind}: {detail}"))
 
-    # Demand accounting: frozen + absorbed-by-burns + stranded == demand.
+    # Raw demand accounting: frozen + absorbed-by-burns + stranded == demand.
     accounted = plan.total_frozen + plan.total_absorbed + plan.total_residual
     if accounted != demand:
         bad("identity", f"frozen {plan.total_frozen} + absorbed {plan.total_absorbed} "
                         f"+ residual {plan.total_residual} != s {demand}")
     if not spec.burns and plan.total_frozen != demand:
         bad("freezeSum", f"froze {plan.total_frozen} of {demand}")
-    violations.extend(trial_text(spec, v) for v in _check_obligation_bound(trace, plan, demand))
+    violations.extend(trial_text(spec, v) for v in _check_obligation_bound(trace, plan))
 
     # Work is linear in the traced graph.
     if plan.nodes_visited > len(trace[2]):
@@ -365,7 +364,7 @@ def run_and_check(spec: TrialSpec) -> list[str]:
     return violations
 
 
-def _check_obligation_bound(trace, plan, demand: int) -> list[str]:
+def _check_obligation_bound(trace, plan) -> list[str]:
     """Audit the per-edge rows against the raw records `_trace_raw` returns.
 
     All obligation into a node is assigned while its senders are processed,
@@ -378,10 +377,11 @@ def _check_obligation_bound(trace, plan, demand: int) -> list[str]:
     raw transfer moved.  Finally, at the root and every node a row or a
     plan map names, the books must balance exactly: frozen +
     absorbed-by-burn + stranded + passed-on == reached, and the plan's
-    obligation must be that reached total.
+    obligation must be that reached total.  A trial files one claim, so the
+    demand reaching the root is the disputed transfer's raw amount.
     """
     records, t0, arrival, _edges, _burned = trace
-    root = records[t0][1]
+    _victim, root, demand = records[t0]
     violations: list[str] = []
 
     inflow: dict[str, int] = {}

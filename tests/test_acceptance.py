@@ -23,7 +23,6 @@ from test_freeze_graph import all_simple_cycles, find_cycle, manual_graph
 
 from revtok import NftRegistry, SpendRef, calc_freeze, eliminate_cycles
 from revtok.oracle import SHAPES, _replay_on_engine, generate_trial, oracle_check, run_and_check
-from revtok.oracle import GOVERNANCE
 from revtok.scenario import run_scenario_text
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -278,10 +277,10 @@ def _fuzz_atomicity(violations: list[str]) -> None:
             lambda: led.rtransfer(frm, "x", acct.reversible - acct.frozen + 1, block),
             lambda: led.transfer(frm, "x", 1, block - 1) if block > 0 else None,
             lambda: led.mint(frm, -5, block),
-            lambda: engine.execute_freeze(SpendRef(99, "zz", 0), "zz", block, GOVERNANCE),
+            lambda: engine.execute_freeze(SpendRef(99, "zz", 0), "zz", block, conftest.GOV),
             lambda: engine.execute_freeze(ref, "zz", block, "mallory"),
-            lambda: engine.reverse("deadbeef" * 8, GOVERNANCE),
-            lambda: engine.reject_reverse("deadbeef" * 8, GOVERNANCE),
+            lambda: engine.reverse("deadbeef" * 8, conftest.GOV),
+            lambda: engine.reject_reverse("deadbeef" * 8, conftest.GOV),
         ]
         attempt = rng.choice(doomed)
         snap = runner.state()

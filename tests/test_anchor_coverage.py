@@ -96,7 +96,6 @@ UNREACHED: dict[str, list[tuple[str, str, str]]] = {
          'violations.append({"trial": index, "detail": violation})'),
     ],
     "trial generator exits that none of the 200 trials takes": [
-        ("oracle.py", "_generate_generic", "break"),
         ("oracle.py", "_generate_interleaved", "break"),
     ],
     "scenario failures, reported only when a check or an operation fails; "

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import copy
+import hashlib
+import json
 import random
 
 import pytest
@@ -16,11 +18,14 @@ from revtok import (
     WindowElapsedError,
 )
 from revtok import SpendLog, freeze
-from revtok.freeze import build_graph, eliminate_cycles
-from revtok.oracle import _replay_on_engine, oracle_trials
+from revtok.freeze import build_graph, calc_freeze, eliminate_cycles
+from revtok.oracle import file_trial_claim, oracle_trials
 
 from conftest import GOV, make_engine, make_ledger
-from test_calc_freeze import plan_for
+
+# SHA-256 over the traced graph and freeze plan of each trial
+# `oracle_check(10000, 41)` runs; the oracle golden carries only counts.
+TRIAL_DIGEST = "6c17b21eb2bf9e46f6f4b2f73eb480d49bdb080e9fb4e116d1da4d6cb467857b"
 
 
 def seed_theft(led, amount=50, stolen_to="a0"):
@@ -254,16 +259,29 @@ def assert_same_freeze(plan, traced):
     assert plan.edges_touched == traced.edges_touched
 
 
-def freeze_like_traced(led, eng, ref, victim):
-    """Execute a freeze and check its plan against a full trace taken just before."""
+def full_trace(led, ref):
+    """The cycle-cancelled graph a full trace of `ref` builds now, the plan it
+    gives, and whether `ref`'s recipient alone covers the claim."""
     record = led.log.resolve(ref)
+    graph = eliminate_cycles(build_graph(led.log, record, led.log.next_seq))
     covered = led.available_rbalance(record.to) >= record.amount
-    traced = plan_for(led, ref)
-    plan = eng.claims[eng.execute_freeze(ref, victim, led.current_block, GOV)].plan
+    return graph, calc_freeze(graph, record.amount, led.available_rbalance), covered
+
+
+def assert_like_traced(plan, traced, covered):
+    """A claim's plan agrees with a full trace taken just before it was
+    filed, and a claim its recipient covers ran on the recipient alone."""
     assert_same_freeze(plan, traced)
     if covered:
         assert (plan.nodes_visited, plan.edge_count) == (1, 0)
         assert list(plan.to_freeze) == ([plan.root] if plan.demand else [])
+
+
+def freeze_like_traced(led, eng, ref, victim):
+    """Execute a freeze and check its plan against a full trace taken just before."""
+    _graph, traced, covered = full_trace(led, ref)
+    plan = eng.claims[eng.execute_freeze(ref, victim, led.current_block, GOV)].plan
+    assert_like_traced(plan, traced, covered)
     return plan, covered
 
 
@@ -289,15 +307,38 @@ def no_trace(monkeypatch):
 
 
 def test_oracle_trials_freeze_as_a_full_trace_would(build_calls):
+    # one pass over the trials `oracle_check(10000, 41)` runs: the claim the
+    # oracle files on each freezes as a full trace taken just before would,
+    # the engine traces only when the recipient cannot cover the claim, and
+    # every trial's traced graph and plan hash to TRIAL_DIGEST
+    digest = hashlib.sha256()
+    traces = []
     covered = 0
     for spec in oracle_trials(10000, 41, "mixed"):
-        runner, ref = _replay_on_engine(spec)
-        led, eng = runner.ledger, runner.freeze
-        before = len(build_calls)
-        _, shortcut = freeze_like_traced(led, eng, ref, led.log.resolve(ref).sender)
-        assert len(build_calls) - before == (0 if shortcut else 1)
+        builds = len(build_calls)
+        led, plan = file_trial_claim(spec, lambda led, ref: traces.append(full_trace(led, ref)))
+        graph, traced, shortcut = traces.pop()
+        assert_like_traced(plan, traced, shortcut)
+        assert len(build_calls) - builds == (0 if shortcut else 1)
         covered += shortcut
+        ref_at = {rec.seq: r for r, rec in led.log.all_records()}
+        row = [
+            [(e.record.sender, e.record.to, e.value, e.record.seq) for e in graph.edges],
+            sorted(plan.to_freeze.items()),
+            sorted(plan.obligations.items()),
+            sorted(plan.absorbed_by_burn.items()),
+            sorted(plan.residual.items()),
+            [
+                (*ref_at[e.record.seq], e.record.sender, e.record.to, e.record.seq, e.value,
+                 obligation)
+                for e, obligation in plan.per_edge
+            ],
+            plan.nodes_visited,
+            plan.edges_touched,
+        ]
+        digest.update(json.dumps(row).encode() + b"\n")
     assert 1000 < covered < 9000  # both paths are well exercised
+    assert digest.hexdigest() == TRIAL_DIGEST
 
 
 def test_cyclic_economy_claims_freeze_as_a_full_trace_would(build_calls):

@@ -7,7 +7,8 @@ Every scenario under `scenarios/` must replay to exactly the JSON committed in
 prints `report_json`'s bytes); no other golden file may exist, so a
 renamed or deleted scenario leaves none behind.  The oracle report carries
 only counts, so the same 10000 trials are also hashed, freeze output and all,
-against a committed digest.
+against `TRIAL_DIGEST` in `tests/test_execute_freeze.py`, by
+`test_oracle_trials_freeze_as_a_full_trace_would`.
 
 A golden file changes only in a change that means to change that report; it is
 regenerated with `revtok replay SCENARIO --out FILE` (or `revtok oracle ...
@@ -16,7 +17,6 @@ regenerated with `revtok replay SCENARIO --out FILE` (or `revtok oracle ...
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -24,17 +24,15 @@ import conftest
 import pytest
 
 from revtok.cli import main as cli_main
-from revtok.freeze import build_graph, eliminate_cycles
-from revtok.oracle import GOVERNANCE, _replay_on_engine, oracle_trials
-from revtok.scenario import report_json
+from revtok.scenario import report_json, run_scenario_text
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.scn"))
+# Scenarios whose expect lines hold only once a known bug is fixed.
+PENDING = sorted((ROOT / "tests" / "pending").glob("*.scn"))
 
 ORACLE_GOLDEN = GOLDEN / "oracle_10000_41.json"
-# SHA-256 over the freeze output of each of the 10000 trials above.
-TRIAL_DIGEST = "6c17b21eb2bf9e46f6f4b2f73eb480d49bdb080e9fb4e116d1da4d6cb467857b"
 
 
 def test_every_golden_report_has_its_scenario():
@@ -68,36 +66,8 @@ def test_oracle_report_is_byte_identical():
     assert report_json(report).encode() == ORACLE_GOLDEN.read_bytes()
 
 
-def trial_digest(trials: int, seed: int) -> str:
-    """Hash every trial's traced graph and freeze plan, in the order
-    `oracle_check(trials, seed, "mixed")` generates them."""
-    digest = hashlib.sha256()
-    for spec in oracle_trials(trials, seed, "mixed"):
-        runner, ref = _replay_on_engine(spec)
-        ledger, engine = runner.ledger, runner.freeze
-        record = ledger.log.resolve(ref)
-        graph = eliminate_cycles(build_graph(ledger.log, record, ledger.log.next_seq))
-        ref_at = {rec.seq: r for r, rec in ledger.log.all_records()}
-        plan = engine.claims[
-            engine.execute_freeze(ref, record.sender, ledger.current_block, GOVERNANCE)
-        ].plan
-        row = [
-            [(e.record.sender, e.record.to, e.value, e.record.seq) for e in graph.edges],
-            sorted(plan.to_freeze.items()),
-            sorted(plan.obligations.items()),
-            sorted(plan.absorbed_by_burn.items()),
-            sorted(plan.residual.items()),
-            [
-                (*ref_at[e.record.seq], e.record.sender, e.record.to, e.record.seq, e.value,
-                 obligation)
-                for e, obligation in plan.per_edge
-            ],
-            plan.nodes_visited,
-            plan.edges_touched,
-        ]
-        digest.update(json.dumps(row).encode() + b"\n")
-    return digest.hexdigest()
-
-
-def test_oracle_trials_freeze_identically():
-    assert trial_digest(10000, 41) == TRIAL_DIGEST
+@pytest.mark.xfail(strict=True, reason="pins a known bug, named in the scenario's header")
+@pytest.mark.parametrize("path", PENDING, ids=lambda p: p.stem)
+def test_pending_scenario_passes(path):
+    # each becomes a golden scenario in the change that fixes its bug
+    assert run_scenario_text(path.read_text(), path.stem).exit_code == 0

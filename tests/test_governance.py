@@ -98,6 +98,11 @@ def test_policy_validation():
         FeePolicy(judge_fee=1, quorum_size=3, min_stake=6, freeze_threshold=4)
     with pytest.raises(ValueError):
         FeePolicy(tip_to="claimant")
+    for bad in ({"reveal_deadline": 0}, {"strike_limit": 0}, {"min_cases": 0},
+                {"extreme_minority_max": -1}, {"minority_ratio": -0.1},
+                {"minority_ratio": 1.5}, {"minority_ratio": float("nan")}):
+        with pytest.raises(ValueError):
+            FeePolicy(**bad)
     # steps raise the largest quorum the stake must cover
     with pytest.raises(ValueError):
         FeePolicy(judge_fee=1, quorum_size=3, min_stake=6,

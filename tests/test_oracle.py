@@ -5,8 +5,10 @@ import random
 from revtok.cli import main as cli_main
 from revtok.oracle import (
     SHAPES,
+    _check_obligation_bound,
     _replay_on_engine,
     _trace_raw,
+    file_trial_claim,
     generate_trial,
     oracle_check,
     oracle_trials,
@@ -145,25 +147,18 @@ def test_oracle_catches_an_inflated_edge_obligation():
     # responsibility along an edge must be flagged by the obligationBound checks.
     # The tampering happens after execution because the engine itself refuses
     # to apply an over-debit, so the lie can only exist in the reported plan.
-    from revtok.oracle import GOVERNANCE, _check_obligation_bound, _replay_on_engine, _trace_raw
-
     rng = random.Random(5)
     tripped = 0
     for _ in range(40):
         spec = generate_trial(rng, "interleaved", burns=False)
-        runner, ref = _replay_on_engine(spec)
-        ledger, engine = runner.ledger, runner.freeze
-        record = ledger.log.resolve(ref)
-        demand = record.amount
-        claim_id = engine.execute_freeze(ref, record.sender, ledger.current_block, GOVERNANCE)
-        plan = engine.claims[claim_id].plan
+        _ledger, plan = file_trial_claim(spec)
         if not plan.per_edge:
             continue
         trace = _trace_raw(spec)
-        assert not _check_obligation_bound(trace, plan, demand)
+        assert not _check_obligation_bound(trace, plan)
         edge, obligation = plan.per_edge[0]
-        plan.per_edge[0] = (edge, obligation + demand)
-        violations = _check_obligation_bound(trace, plan, demand)
+        plan.per_edge[0] = (edge, obligation + plan.demand)
+        violations = _check_obligation_bound(trace, plan)
         assert any("obligationBound" in v for v in violations)
         tripped += 1
     assert tripped > 10

@@ -64,39 +64,6 @@ def test_malformed_pairs():
     with pytest.raises(ParseError) as err:
         parse_scenario("mint to=a amount")
     assert err.value.line == 1
-    with pytest.raises(ParseError):
-        parse_scenario("mint to=a amount=")
-    with pytest.raises(ParseError):
-        parse_scenario("mint to=a to=b amount=1")
-
-
-def test_int_fields_are_validated():
-    with pytest.raises(ParseError):
-        parse_scenario("mint to=a amount=ten")
-    with pytest.raises(ParseError):
-        parse_scenario("mint to=a amount=-4")
-    with pytest.raises(ParseError):
-        parse_scenario("advanceBlock to=later")
-
-
-def test_missing_required_keys():
-    with pytest.raises(ParseError):
-        parse_scenario("mint amount=5")
-    with pytest.raises(ParseError):
-        parse_scenario("submitFreeze kind=fungible claimant=v stake=2")
-    with pytest.raises(ParseError):
-        parse_scenario("commit case=1 judge=j")  # neither commitment nor vote
-
-
-def test_enum_fields_are_validated():
-    with pytest.raises(ParseError):
-        parse_scenario("submitFreeze kind=magic claimant=v stake=2")
-    with pytest.raises(ParseError):
-        parse_scenario("commit case=1 judge=j vote=maybe salt=01")
-    with pytest.raises(ParseError):
-        parse_scenario("expect kind=vibes")
-    with pytest.raises(ParseError):
-        parse_scenario("burn from=a amount=1 source=gold")
 
 
 @pytest.mark.parametrize("line", [
@@ -119,6 +86,18 @@ def test_enum_fields_are_validated():
     "mint to=a amount=,",
     "config delta=5 expectError=Nope",  # config and expect lines cannot fail
     "expect kind=balance addr=a nr=1 expectError=Nope",
+    "mint to=a amount=",  # a pair needs a value
+    "mint to=a to=b amount=1",  # and a key appears once
+    "mint to=a amount=ten",
+    "mint to=a amount=-4",
+    "advanceBlock to=later",
+    "mint amount=5",  # a required key is missing
+    "submitFreeze kind=fungible claimant=v stake=2",
+    "commit case=1 judge=j",  # neither commitment nor vote
+    "submitFreeze kind=magic claimant=v stake=2",
+    "commit case=1 judge=j vote=maybe salt=01",
+    "expect kind=vibes",
+    "burn from=a amount=1 source=gold",
 ])
 def test_unknown_vacuous_and_malformed_keys_fail(line):
     with pytest.raises(ParseError):
@@ -205,7 +184,10 @@ def test_unknown_config_key_fails():
     assert "speed" in str(err.value)
 
 
-@pytest.mark.parametrize("setting", ["n=x", "minorityRatio=abc", "minStake=5", "delta=0"])
+@pytest.mark.parametrize("setting", [
+    "n=x", "minorityRatio=abc", "minStake=5", "delta=0", "revealDeadline=-5", "strikeLimit=-1",
+    "minCases=-3", "extremeMinority=-2", "minorityRatio=7", "minorityRatio=nan",
+])
 def test_malformed_config_value_fails(setting):
     with pytest.raises(ParseError) as err:
         parse_scenario(f"config window=9\nconfig {setting}\n")
@@ -319,6 +301,10 @@ def test_cli_replay_exit_codes(tmp_path, capsys):
     assert cli_main(["replay", str(tmp_path / "missing.scn")]) == 2
     err = capsys.readouterr().err
     assert "line 1" in err
+    latin = tmp_path / "latin.scn"
+    latin.write_bytes("mint to=caf\xe9 amount=1\n".encode("latin-1"))
+    assert cli_main(["replay", str(latin)]) == 2
+    assert capsys.readouterr().err.startswith(f"revtok: {latin}: ")
 
 
 def test_cli_oracle(tmp_path):
