@@ -7,8 +7,8 @@ Every scenario under `scenarios/` must replay to exactly the JSON committed in
 prints `report_json`'s bytes); no other golden file may exist, so a
 renamed or deleted scenario leaves none behind.  The oracle report carries
 only counts, so the same 10000 trials are also hashed, freeze output and all,
-against `TRIAL_DIGEST` in `tests/test_execute_freeze.py`, by
-`test_oracle_trials_freeze_as_a_full_trace_would`.
+against `TRIAL_DIGEST`, in the same pass that checks each trial's claim
+against a full trace (`seed41_trial_pass` in `tests/test_execute_freeze.py`).
 
 A golden file changes only in a change that means to change that report; it is
 regenerated with `revtok replay SCENARIO --out FILE` (or `revtok oracle ...
@@ -25,6 +25,7 @@ import pytest
 
 from revtok.cli import main as cli_main
 from revtok.scenario import report_json, run_scenario_text
+from test_execute_freeze import seed41_trial_pass
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -33,6 +34,8 @@ SCENARIOS = sorted((ROOT / "scenarios").glob("*.scn"))
 PENDING = sorted((ROOT / "tests" / "pending").glob("*.scn"))
 
 ORACLE_GOLDEN = GOLDEN / "oracle_10000_41.json"
+# SHA-256 over the traced graph and freeze plan of each of the 10000 trials above.
+TRIAL_DIGEST = "6c17b21eb2bf9e46f6f4b2f73eb480d49bdb080e9fb4e116d1da4d6cb467857b"
 
 
 def test_every_golden_report_has_its_scenario():
@@ -64,6 +67,11 @@ def test_claim_books_close_from_the_report(path):
 def test_oracle_report_is_byte_identical():
     report, _seconds = conftest.oracle_10000_41()
     assert report_json(report).encode() == ORACLE_GOLDEN.read_bytes()
+
+
+def test_oracle_trials_freeze_identically():
+    digest, _covered = seed41_trial_pass()
+    assert digest == TRIAL_DIGEST
 
 
 @pytest.mark.xfail(strict=True, reason="pins a known bug, named in the scenario's header")
