@@ -60,68 +60,3 @@ from .nft import NftRegistry, NftToken, OwnerRecord
 from .spendlog import CleanReport, EpochConfig, SpendLog, SpendRecord, SpendRef
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AccountState",
-    "Address",
-    "AmountOverflowError",
-    "BlockOrderError",
-    "BurnSource",
-    "Case",
-    "Claim",
-    "ClaimNotFrozenError",
-    "ClaimStatus",
-    "CleanReport",
-    "CommitMismatchError",
-    "DoubleVoteError",
-    "DuplicateTokenError",
-    "EpochConfig",
-    "FeePolicy",
-    "FreezeEngine",
-    "FreezePlan",
-    "FrozenAssetError",
-    "FrozenFloorError",
-    "FungibleTarget",
-    "Governance",
-    "GraphEdge",
-    "InsufficientBalanceError",
-    "InsufficientNonReversibleError",
-    "InsufficientReversibleError",
-    "InsufficientStakeError",
-    "InvalidDisputeError",
-    "JudgePool",
-    "LedgerError",
-    "MAX_AMOUNT",
-    "NftRegistry",
-    "NftTarget",
-    "NftToken",
-    "NotAffectedPartyError",
-    "NotFrozenError",
-    "NotGovernanceError",
-    "NotOwnerError",
-    "NotQuorumMemberError",
-    "OwnerRecord",
-    "ParseError",
-    "Phase",
-    "PhaseError",
-    "PoolTooSmallError",
-    "SpendLog",
-    "SpendRecord",
-    "SpendRef",
-    "TERMINAL_PHASES",
-    "TallyOutcome",
-    "TokenLedger",
-    "TransferGraph",
-    "UnknownCaseError",
-    "UnknownClaimError",
-    "UnknownSpenditureError",
-    "UnknownTokenError",
-    "Vote",
-    "VoteRound",
-    "WindowElapsedError",
-    "build_graph",
-    "calc_freeze",
-    "commitment_hash",
-    "eliminate_cycles",
-    "select_quorum",
-]

@@ -218,6 +218,8 @@ class JudgePool:
 class Governance:
     """The arbitration court: the only identity the engines obey."""
 
+    escrow: Address = "escrow"  # the ledger account holding every case's stake and tip
+
     def __init__(
         self,
         ledger: TokenLedger,
@@ -226,7 +228,6 @@ class Governance:
         pool: JudgePool,
         policy: FeePolicy | None = None,
         identity: Address = "governance",
-        escrow: Address = "escrow",
     ):
         self.ledger = ledger
         self.freeze_engine = freeze_engine
@@ -234,13 +235,15 @@ class Governance:
         self.pool = pool
         self.policy = policy or FeePolicy()
         self.identity = identity
-        self.escrow = escrow
         self.cases: dict[int, Case] = {}
 
-    def _case(self, case_id: int) -> Case:
+    def _open_case(self, case_id: int) -> Case:
+        """The case `case_id`, which must exist and not be closed."""
         case = self.cases.get(case_id)
         if case is None:
             raise UnknownCaseError(f"case {case_id}")
+        if case.phase in TERMINAL_PHASES:
+            raise PhaseError(f"case {case_id} is closed")
         return case
 
     # -- case intake ---------------------------------------------------------
@@ -293,9 +296,7 @@ class Governance:
     # -- voting ---------------------------------------------------------------
 
     def cast_commit(self, case_id: int, judge: Address, commitment: bytes) -> None:
-        case = self._case(case_id)
-        if case.phase in TERMINAL_PHASES:
-            raise PhaseError(f"case {case_id} is closed")
+        case = self._open_case(case_id)
         if judge not in case.quorum:
             raise NotQuorumMemberError(f"{judge} is not on case {case_id}")
         if judge in case.round.commits:
@@ -303,9 +304,7 @@ class Governance:
         case.round.commits[judge] = commitment
 
     def cast_reveal(self, case_id: int, judge: Address, vote: Vote, salt: bytes) -> None:
-        case = self._case(case_id)
-        if case.phase in TERMINAL_PHASES:
-            raise PhaseError(f"case {case_id} is closed")
+        case = self._open_case(case_id)
         if judge not in case.quorum:
             raise NotQuorumMemberError(f"{judge} is not on case {case_id}")
         commitment = case.round.commits.get(judge)
@@ -327,9 +326,7 @@ class Governance:
         Callable once all quorum members revealed or the round deadline has
         passed; unrevealed commits count as abstentions and earn a strike.
         """
-        case = self._case(case_id)
-        if case.phase in TERMINAL_PHASES:
-            raise PhaseError(f"case {case_id} is closed")
+        case = self._open_case(case_id)
         block = self.ledger.current_block
         reveals = case.round.reveals
         if len(reveals) < len(case.quorum) and block < case.deadline_block:
@@ -346,12 +343,9 @@ class Governance:
         if case.phase is Phase.FREEZE_VOTE:
             froze = approved and self._try_freeze(case, block)
             case.phase = Phase.TRIAL if froze else Phase.CLOSED_DISMISSED
-        elif approved:
-            self._settle_reverse(case, block)
-            case.phase = Phase.CLOSED_REVERSED
         else:
-            self._settle_reject(case, block)
-            case.phase = Phase.CLOSED_REJECTED
+            self._settle(case, approved, block)
+            case.phase = Phase.CLOSED_REVERSED if approved else Phase.CLOSED_REJECTED
 
         fees_paid = self._pay_judge_fees(case)
         self._record_conduct(case, approved)
@@ -380,17 +374,18 @@ class Governance:
             return False
         return True
 
-    def _settle_reverse(self, case: Case, block: int) -> None:
-        if isinstance(case.target, FungibleTarget):
-            self.freeze_engine.reverse(case.claim_id, self.identity)
+    def _settle(self, case: Case, reverse: bool, block: int) -> None:
+        """Reverse the frozen asset to the claimant, or release it."""
+        target = case.target
+        if isinstance(target, FungibleTarget):
+            if reverse:
+                self.freeze_engine.reverse(case.claim_id, self.identity)
+            else:
+                self.freeze_engine.reject_reverse(case.claim_id, self.identity)
+        elif reverse:
+            self.nft.reverse(target.token_id, target.index, block, self.identity)
         else:
-            self.nft.reverse(case.target.token_id, case.target.index, block, self.identity)
-
-    def _settle_reject(self, case: Case, block: int) -> None:
-        if isinstance(case.target, FungibleTarget):
-            self.freeze_engine.reject_reverse(case.claim_id, self.identity)
-        else:
-            self.nft.reject_reverse(case.target.token_id, self.identity)
+            self.nft.reject_reverse(target.token_id, self.identity)
 
     def _pay_judge_fees(self, case: Case) -> int:
         """Pay the fixed fee to every judge who revealed, whatever they voted."""

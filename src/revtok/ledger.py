@@ -92,18 +92,16 @@ class TokenLedger:
             acct = self.accounts[addr] = AccountState()
         return acct
 
-    def _touch_block(self, block: int) -> None:
+    # -- operations ----------------------------------------------------------
+
+    def advance_block(self, block: int) -> None:
+        """Move the engine clock forward (never backward); every operation
+        stamped with a block calls this once its own checks have passed."""
         if block < self.current_block:
             raise BlockOrderError(
                 f"block {block} is behind the engine clock {self.current_block}"
             )
         self.current_block = block
-
-    # -- operations ----------------------------------------------------------
-
-    def advance_block(self, block: int) -> None:
-        """Move the engine clock forward (never backward)."""
-        self._touch_block(block)
 
     def mint(self, to: Address, amount: int, block: int) -> None:
         """Create `amount` new tokens in `to`'s non-reversible balance."""
@@ -111,7 +109,7 @@ class TokenLedger:
         acct = self.account(to)
         if acct.nonreversible + amount > MAX_AMOUNT:
             raise AmountOverflowError("mint would overflow the account balance")
-        self._touch_block(block)
+        self.advance_block(block)
         self._acct(to).nonreversible += amount
         self.total_minted += amount
 
@@ -128,7 +126,7 @@ class TokenLedger:
             )
         if self.account(to).reversible + amount > MAX_AMOUNT:
             raise AmountOverflowError("transfer would overflow the recipient balance")
-        self._touch_block(block)
+        self.advance_block(block)
         self._acct(sender).nonreversible -= amount
         self._acct(to).reversible += amount
         return self.log.record(sender, to, amount, block)
@@ -147,7 +145,7 @@ class TokenLedger:
             )
         if self.account(to).reversible + amount > MAX_AMOUNT:
             raise AmountOverflowError("transfer would overflow the recipient balance")
-        self._touch_block(block)
+        self.advance_block(block)
         self._acct(sender).reversible -= amount
         self._acct(to).reversible += amount
         return self.log.record(sender, to, amount, block)
@@ -170,7 +168,7 @@ class TokenLedger:
                 raise InsufficientBalanceError(
                     f"{sender} holds {acct.nonreversible} non-reversible, burning {amount}"
                 )
-            self._touch_block(block)
+            self.advance_block(block)
             self._acct(sender).nonreversible -= amount
             self.total_burned += amount
             return None
@@ -182,7 +180,7 @@ class TokenLedger:
             raise FrozenFloorError(
                 f"{sender} has {acct.frozen} frozen; burning {amount} would breach it"
             )
-        self._touch_block(block)
+        self.advance_block(block)
         self._acct(sender).reversible -= amount
         self.total_burned += amount
         return self.log.record(sender, None, amount, block)
@@ -197,7 +195,7 @@ class TokenLedger:
         inside the dispute window, and buckets of the current epoch, are
         skipped and reported, which also makes clean idempotent per bucket.
         """
-        self._touch_block(block)
+        self.advance_block(block)
         report = CleanReport()
         for sender in senders:
             status = self.log.bucket_status(epoch, sender, block)
