@@ -3,8 +3,9 @@
     revtok replay SCENARIO [--out FILE]
     revtok oracle --trials N --seed S [--burns {none,mixed}] [--out FILE]
 
-Exit codes: 0 success, 1 a check or trial failed, 2 usage or parse error (a
-scenario file that is not UTF-8, or a line with an unknown key, a malformed
+Exit codes: 0 success, 1 a check or trial failed, 2 a usage or parse error
+or an `--out` path that cannot be written, such as one in a missing directory
+(a scenario file that is not UTF-8, or a line with an unknown key, a malformed
 integer or hex value, an `expect` that compares nothing, or a `config` line
 that follows another operation or holds an unknown key or a bad value, is a
 parse error).  Reports are byte-identical for identical inputs and carry no
@@ -22,11 +23,17 @@ from .oracle import oracle_check
 from .scenario import report_json, run_scenario_text
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+def _emit(text: str, out: str | None, code: int) -> int:
+    """Write the report and return `code`, or 2 if `out` cannot be written."""
+    if not out:
         sys.stdout.write(text)
+        return code
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as err:
+        print(f"revtok: {out}: {err.strerror}", file=sys.stderr)
+        return 2
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -58,15 +65,13 @@ def main(argv: list[str] | None = None) -> int:
         except (ParseError, UnicodeDecodeError) as err:
             print(f"revtok: {path}: {err}", file=sys.stderr)
             return 2
-        _emit(report_json(result.report), args.out)
-        return result.exit_code
+        return _emit(report_json(result.report), args.out, result.exit_code)
 
     if args.trials <= 0:
         print("revtok: --trials must be positive", file=sys.stderr)
         return 2
     report = oracle_check(args.trials, args.seed, args.burns)
-    _emit(report_json(report), args.out)
-    return 0 if report["pass"] else 1
+    return _emit(report_json(report), args.out, 0 if report["pass"] else 1)
 
 
 if __name__ == "__main__":

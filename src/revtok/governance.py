@@ -79,7 +79,8 @@ def commitment_hash(vote: Vote, salt: bytes, case_id: int) -> bytes:
 class FeePolicy:
     """Quorum sizing, thresholds, fees, and discipline parameters.
 
-    Thresholds default to ceil(2n/3).  The minimum stake must cover the judge
+    Thresholds default to ceil(2n/3); a configured one may not exceed the
+    smallest quorum in use, which could never reach it.  The minimum stake must cover the judge
     fees of both voting rounds at the largest configured quorum, so fee
     payment can never run out of escrow; unless given, it is exactly that.
     """
@@ -98,26 +99,32 @@ class FeePolicy:
     quorum_steps: tuple[tuple[int, int], ...] = ()  # (min disputed amount, n)
 
     def __post_init__(self):
-        if self.judge_fee < 0 or self.quorum_size <= 0:
-            raise ValueError("judge_fee must be >= 0 and quorum_size positive")
+        if self.judge_fee < 0:
+            raise ValueError("judge_fee must be >= 0")
         if self.tip_to not in ("prevailing", "burn"):
             raise ValueError("tip_to must be 'prevailing' or 'burn'")
         if min(self.reveal_deadline, self.strike_limit, self.min_cases) < 1:
             raise ValueError("reveal_deadline, strike_limit and min_cases must be positive")
         if self.extreme_minority_max < 0 or not 0 <= self.minority_ratio <= 1:
             raise ValueError("extreme_minority_max must be >= 0 and minority_ratio in [0, 1]")
-        largest = max([self.quorum_size, *(n for _, n in self.quorum_steps)])
-        fees = 2 * largest * self.judge_fee
+        sizes = [self.quorum_size, *(n for _, n in self.quorum_steps)]
+        if min(sizes) < 1:
+            raise ValueError("every quorum size must be at least 1")
+        fees = 2 * max(sizes) * self.judge_fee
         if self.min_stake is None:
             object.__setattr__(self, "min_stake", fees)
         elif self.min_stake < fees:
             raise ValueError(
                 "min_stake must cover two rounds of judge fees at the largest quorum"
             )
+        # Amounts are never negative: the sizes in use are those at 0 and at
+        # each positive step floor.
+        floors = [0, *(f for f, _ in self.quorum_steps if f > 0)]
+        smallest = min(self.quorum_for(amount) for amount in floors)
         for name in ("freeze_threshold", "trial_threshold"):
             value = getattr(self, name)
-            if value is not None and not 0 < value <= largest:
-                raise ValueError(f"{name} must fall within the quorum size")
+            if value is not None and not 0 < value <= smallest:
+                raise ValueError(f"{name} must fall within the smallest quorum in use")
 
     def quorum_for(self, amount: int) -> int:
         n = self.quorum_size

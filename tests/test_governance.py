@@ -107,6 +107,17 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         FeePolicy(judge_fee=1, quorum_size=3, min_stake=6,
                   quorum_steps=((100, 9),))
+    # a step size below 1 draws no judges (0) or all but three (-3)
+    for size in (0, -3):
+        with pytest.raises(ValueError):
+            FeePolicy(quorum_steps=((1, size),))
+    # a case of 1000 or more draws 3 judges and could never reach 10 approvals
+    for which in ("freeze_threshold", "trial_threshold"):
+        with pytest.raises(ValueError):
+            FeePolicy(quorum_size=12, quorum_steps=((1000, 3),), **{which: 10})
+    # a step at floor 0 replaces the base size for every amount
+    policy = FeePolicy(quorum_size=3, freeze_threshold=4, quorum_steps=((0, 5),))
+    assert policy.threshold("freeze_threshold", policy.quorum_for(0)) == 4
 
 
 def test_min_stake_defaults_to_two_rounds_of_fees_at_the_largest_quorum():

@@ -305,9 +305,12 @@ def test_cli_replay_exit_codes(tmp_path, capsys):
     latin.write_bytes("mint to=caf\xe9 amount=1\n".encode("latin-1"))
     assert cli_main(["replay", str(latin)]) == 2
     assert capsys.readouterr().err.startswith(f"revtok: {latin}: ")
+    unwritable = tmp_path / "missing" / "report.json"
+    assert cli_main(["replay", str(bad), "--out", str(unwritable)]) == 2
+    assert capsys.readouterr().err == f"revtok: {unwritable}: No such file or directory\n"
 
 
-def test_cli_oracle(tmp_path):
+def test_cli_oracle(tmp_path, capsys):
     out = tmp_path / "oracle.json"
     assert cli_main(["oracle", "--trials", "40", "--seed", "5",
                      "--out", str(out)]) == 0
@@ -315,3 +318,6 @@ def test_cli_oracle(tmp_path):
     report = json.loads(out.read_text())
     assert report["pass"] is True
     assert report["trials"] == 40
+    unwritable = tmp_path / "missing" / "oracle.json"
+    assert cli_main(["oracle", "--trials", "1", "--out", str(unwritable)]) == 2
+    assert capsys.readouterr().err == f"revtok: {unwritable}: No such file or directory\n"
