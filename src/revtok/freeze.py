@@ -8,9 +8,10 @@ a DAG, and a single pass over the DAG in topological order decides how much to
 freeze at each account and how much obligation to pass along each edge,
 newest edges first.
 
-Freezing also consumes disputable capacity: every obligation passed along an
-edge is subtracted from that record's remaining amount, so a later claim on
-the same record cannot freeze the same coins twice.  A rejected claim puts the
+Freezing also consumes disputable capacity: the demand is subtracted from the
+disputed record's remaining amount and every obligation passed along an edge
+from that edge's record, so a later claim on the same record cannot freeze the
+same coins twice.  A rejected claim puts the
 subtracted amounts back.
 """
 
@@ -272,15 +273,18 @@ class Claim:
     """A filed freeze.
 
     The plan is the claim's only record of what it locked and why: its
-    to_freeze amounts are what settlement moves or releases, and its per_edge
-    obligations are the record debits a rejection restores.  The claim keeps
-    no copy of the traced graph; only the edges that carried obligation stay
-    reachable, through per_edge.
+    to_freeze amounts are what settlement moves or releases, and its demand
+    and per_edge obligations are the record debits a rejection restores, onto
+    `record` (the disputed spend record itself, as a GraphEdge holds its
+    record) and onto each edge's record.  The claim keeps no copy of the
+    traced graph; only the edges that carried obligation stay reachable,
+    through per_edge.
     """
 
     claim_id: str
     victim: Address
     disputed: SpendRef
+    record: SpendRecord
     status: ClaimStatus
     plan: FreezePlan
 
@@ -342,11 +346,13 @@ class FreezeEngine:
         """Freeze the still-disputable remainder of `disputed` wherever it went.
 
         `disputed_record` refuses an inadmissible dispute before anything
-        changes.  The demand is the record's remaining amount, so coins
-        already claimed through this record cannot be frozen a second time.
-        Applying the plan raises every to_freeze account's frozen total,
-        subtracts each per-edge obligation from the record its edge holds, and
-        files a claim that keeps the plan for later settlement.
+        changes.  The demand is the record's remaining amount.  Applying the
+        plan raises every to_freeze account's frozen total, subtracts the
+        demand from the disputed record and each per-edge obligation from the
+        record its edge holds, and files a claim that keeps the plan for later
+        settlement.  So coins already claimed through a record, directly or
+        downstream, cannot be frozen a second time unless that claim is
+        rejected.
 
         Funds freeze at the disputed recipient first, so the transfer graph is
         built and cycle-cancelled only when the recipient's available
@@ -378,7 +384,8 @@ class FreezeEngine:
         for edge, obligation in plan.per_edge:
             edge.record.amount -= obligation
             assert edge.record.amount >= 0
-        claim = Claim(claim_id, victim, disputed, ClaimStatus.FROZEN, plan)
+        record.amount -= plan.demand
+        claim = Claim(claim_id, victim, disputed, record, ClaimStatus.FROZEN, plan)
         self.claims[claim_id] = claim
         return claim_id
 
@@ -410,16 +417,18 @@ class FreezeEngine:
     def reject_reverse(self, claim_id: str, caller: Address) -> None:
         """Release the claim's frozen amounts and restore its record debits.
 
-        Each debit goes back onto the record its edge holds.  If that record's
-        bucket was cleaned in the meantime the restore is inert: clean matured
-        the record's remaining amount when it deleted it, and no ref or
-        outgoing window reaches the record any more.
+        The demand goes back onto the disputed record and each obligation onto
+        the record its edge holds.  If a record's bucket was cleaned in the
+        meantime the restore is inert: clean matured the record's remaining
+        amount when it deleted it, and no ref or outgoing window reaches the
+        record any more.
         """
         claim = self._frozen_claim(claim_id, caller)
         for addr, amount in claim.plan.to_freeze.items():
             acct = self.ledger._acct(addr)
             acct.frozen -= amount
             assert acct.frozen >= 0
+        claim.record.amount += claim.plan.demand
         for edge, obligation in claim.plan.per_edge:
             edge.record.amount += obligation
             assert edge.record.amount <= edge.record.original_amount

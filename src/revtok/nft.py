@@ -5,8 +5,9 @@ entry is the current owner.  Record indexes are absolute: the i-th record ever
 appended keeps index i.  Disputing the transfer that made record i+1 the owner
 means freezing at index i: the token stops moving, and a reversal appends the
 index-i owner back on top of the queue instead of rewriting history.  Only the
-index-i owner may dispute that transfer, and only inside the window
-(`disputed_owner`); `freeze` refuses whatever that rule refuses.
+index-i owner may dispute that transfer, only inside the window, and only
+until it has been reversed once (`disputed_owner`); `freeze` refuses whatever
+that rule refuses.
 
 Cleaning drops queue prefixes that can no longer be disputed, keeping every
 record whose successor is still inside the dispute window plus the current
@@ -45,6 +46,7 @@ class NftToken:
     owners: list[OwnerRecord] = field(default_factory=list)
     frozen: bool = False
     dropped: int = 0  # records cleaned away; owners[0] has index `dropped`
+    reversed: set[int] = field(default_factory=set)  # indexes of reversed hops
 
     @property
     def current_owner(self) -> Address:
@@ -117,7 +119,7 @@ class NftRegistry:
 
         Raises UnknownTokenError for an unknown token, InvalidDisputeError
         when the index does not name a kept transfer (it was never made or
-        was cleaned away), NotAffectedPartyError when `claimant` is not the
+        was cleaned away) or names one already reversed, NotAffectedPartyError when `claimant` is not the
         index-i owner, WindowElapsedError once the hop's window has closed
         and FrozenAssetError while the token is frozen.
         """
@@ -125,6 +127,8 @@ class NftRegistry:
         prior, hop = token.record(index), token.record(index + 1)
         if prior is None or hop is None:
             raise InvalidDisputeError(f"token {token_id} has no transfer at index {index}")
+        if index in token.reversed:
+            raise InvalidDisputeError(f"token {token_id}'s transfer at index {index} was reversed")
         if claimant != prior.owner:
             raise NotAffectedPartyError(
                 f"{claimant} did not own token {token_id} before the transfer"
@@ -148,12 +152,13 @@ class NftRegistry:
 
     def reverse(self, token_id: int, index: int, current_block: int, caller: Address) -> None:
         """Return the token to the owner at record `index` by appending a
-        fresh record, and unfreeze it."""
+        fresh record, mark that hop reversed, and unfreeze it."""
         token = self._frozen_token(token_id, caller)
         prior = token.record(index)
         if prior is None:
             raise UnknownTokenError(f"token {token_id} has no record {index}")
         token.owners.append(OwnerRecord(prior.owner, current_block))
+        token.reversed.add(index)
         token.frozen = False
 
     def reject_reverse(self, token_id: int, caller: Address) -> None:

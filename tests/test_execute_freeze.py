@@ -67,10 +67,10 @@ def test_freeze_applies_plan_and_debits():
     cid = eng.execute_freeze(ref, "v", 2, caller=GOV)
     assert led.account("a0").frozen == 30
     assert led.account("a1").frozen == 20
-    # traced hops are debited by their obligation; the disputed record itself
-    # is not consumed (the frozen floor guards it instead)
+    # traced hops are debited by their obligation, the disputed record by the
+    # whole demand, so a second claim on it has nothing left to freeze
     assert led.log.resolve(hop).amount == 0
-    assert led.log.resolve(ref).amount == 50
+    assert led.log.resolve(ref).amount == 0
     claim = eng.claims[cid]
     assert claim.status is ClaimStatus.FROZEN
     assert claim.plan.to_freeze == {"a0": 30, "a1": 20}
@@ -89,6 +89,25 @@ def test_redispute_while_pending_freezes_nothing():
     plan2 = eng.claims[cid2].plan
     assert plan2.to_freeze == {} and plan2.per_edge == []
     assert led.account("a0").frozen == 50  # unchanged
+
+
+def test_a_record_is_reversed_once_unless_rejected():
+    # x's innocent 50 sits beside v's at a0; a record reversed once has no
+    # demand left, so a second claim on it cannot take x's coins
+    led, eng = make_engine()
+    led.mint("x", 50, block=1)
+    led.transfer("x", "a0", 50, block=1)
+    ref = seed_theft(led)
+    eng.reverse(eng.execute_freeze(ref, "v", 1, caller=GOV), caller=GOV)
+    again = eng.execute_freeze(ref, "v", 1, caller=GOV)
+    assert eng.claims[again].plan.demand == 0
+    assert eng.reverse(again, caller=GOV) == 0
+    assert led.account("a0").reversible == 50
+    # a rejection hands the demand back, so the record can be claimed anew
+    led, eng = make_engine()
+    ref = seed_theft(led)
+    eng.reject_reverse(eng.execute_freeze(ref, "v", 1, caller=GOV), caller=GOV)
+    assert eng.claims[eng.execute_freeze(ref, "v", 1, caller=GOV)].plan.total_frozen == 50
 
 
 def test_double_freeze_through_shared_hop():

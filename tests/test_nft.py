@@ -103,6 +103,23 @@ def test_reject_reverse_unfreezes_in_place():
     assert not reg._token(1).frozen
     assert reg.tokens[1].current_owner == "b"
     assert len(reg.tokens[1].owners) == 2
+    assert reg.disputed_owner(1, 0, "a", current_block=4) == "b"  # still disputable
+
+
+def test_a_reversed_hop_cannot_be_disputed_again():
+    reg = make_registry()
+    reg.mint(1, "a", block=1)
+    reg.transfer(1, "b", block=2)
+    reg.freeze(1, 0, "a", current_block=3, caller=GOV)
+    reg.reverse(1, 0, current_block=4, caller=GOV)
+    # refused whether or not the token moved on since the reversal
+    with pytest.raises(InvalidDisputeError):
+        reg.disputed_owner(1, 0, "a", current_block=5)
+    reg.transfer(1, "c", block=6)
+    with pytest.raises(InvalidDisputeError):
+        reg.freeze(1, 0, "a", current_block=7, caller=GOV)
+    assert not reg.tokens[1].frozen
+    assert reg.disputed_owner(1, 2, "a", current_block=7) == "c"  # a -> c is a new hop
 
 
 def test_disputable_indexes():
