@@ -20,8 +20,8 @@ import workloads  # noqa: E402
 from layers import PER_LAYER  # noqa: E402
 
 DIGEST_PREFIX = {
-    "dispute-dag": "44911a7b9ac7af61",
-    "dispute-cyclic": "bce18cc02a2d4625",
+    "dispute-dag": "48b8e0c90bc84ff7",
+    "dispute-cyclic": "46402931cbda0e00",
     "churn-clean": "dcdd926f8a8cda3f",
 }
 
@@ -49,14 +49,14 @@ COUNTERS = {
         "nft.records_dropped": 0,
     },
     "dispute-cyclic": {
-        "freeze.cycle_rounds": 4_809,
-        "freeze.edges_after_cancel": 5_559,
+        "freeze.cycle_rounds": 4_801,
+        "freeze.edges_after_cancel": 5_567,
         "freeze.graph_nodes": 813,
         "freeze.graph_edges": 10_368,
         "spendlog.outgoing_between_calls": 813,
         "spendlog.records_returned": 10_464,
-        "freeze.edges_touched": 54,
-        "freeze.edge_iterations": 11_172,
+        "freeze.edges_touched": 53,
+        "freeze.edge_iterations": 11_187,
         "freeze.frozen_ratio": 0.996716342510735,
         "governance.vote_calls": 38_400,
         "governance.cases_closed": 800,
