@@ -274,16 +274,16 @@ class Claim:
 
     The plan is the claim's only record of what it locked and why: its
     to_freeze amounts are what settlement moves or releases, and its demand
-    and per_edge obligations are the record debits a rejection restores, onto
-    `record` (the disputed spend record itself, as a GraphEdge holds its
-    record) and onto each edge's record.  The claim keeps no copy of the
-    traced graph; only the edges that carried obligation stay reachable,
-    through per_edge.
+    and per_edge obligations are the record debits a rejection restores.  The
+    demand goes back onto `record`, the disputed spend record itself, which
+    the claim holds as a GraphEdge holds its record, so no ref is resolved
+    again; each obligation goes back onto its edge's record.  The claim keeps
+    no copy of the traced graph; only the edges that carried obligation stay
+    reachable, through per_edge.
     """
 
     claim_id: str
     victim: Address
-    disputed: SpendRef
     record: SpendRecord
     status: ClaimStatus
     plan: FreezePlan
@@ -385,7 +385,7 @@ class FreezeEngine:
             edge.record.amount -= obligation
             assert edge.record.amount >= 0
         record.amount -= plan.demand
-        claim = Claim(claim_id, victim, disputed, record, ClaimStatus.FROZEN, plan)
+        claim = Claim(claim_id, victim, record, ClaimStatus.FROZEN, plan)
         self.claims[claim_id] = claim
         return claim_id
 

@@ -421,7 +421,7 @@ class ScenarioRunner:
                 "id": claim.claim_id,
                 "victim": claim.victim,
                 "status": claim.status.value,
-                "disputed": claim.disputed._asdict(),
+                "disputed": self.ledger.log.ref(claim.record)._asdict(),
                 "toFreeze": dict(sorted(claim.plan.to_freeze.items())),
                 "obligations": dict(sorted(claim.plan.obligations.items())),
                 "absorbedByBurn": dict(sorted(claim.plan.absorbed_by_burn.items())),

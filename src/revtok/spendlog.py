@@ -173,12 +173,15 @@ class SpendLog:
         del records[lo:hi]
         return popped
 
+    def ref(self, rec: SpendRecord) -> SpendRef:
+        """The ref that addresses `rec`, derived from the record itself."""
+        return SpendRef(rec.block // self.config.epoch_length, rec.sender, rec.index)
+
     def all_records(self) -> list[tuple[SpendRef, SpendRecord]]:
         """Every live record with its ref, in seq order (test and report helper)."""
         out = [rec for records in self._by_sender.values() for rec in records]
         out.sort(key=_seq)
-        length = self.config.epoch_length
-        return [(SpendRef(rec.block // length, rec.sender, rec.index), rec) for rec in out]
+        return [(self.ref(rec), rec) for rec in out]
 
 
 @dataclass
