@@ -11,8 +11,7 @@ newest edges first.
 Freezing also consumes disputable capacity: the demand is subtracted from the
 disputed record's remaining amount and every obligation passed along an edge
 from that edge's record, so a later claim on the same record cannot freeze the
-same coins twice.  A rejected claim puts the
-subtracted amounts back.
+same coins twice.  A rejected claim puts the subtracted amounts back.
 """
 
 from __future__ import annotations

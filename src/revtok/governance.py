@@ -79,10 +79,11 @@ def commitment_hash(vote: Vote, salt: bytes, case_id: int) -> bytes:
 class FeePolicy:
     """Quorum sizing, thresholds, fees, and discipline parameters.
 
-    Thresholds default to ceil(2n/3); a configured one may not exceed the
-    smallest quorum in use, which could never reach it.  The minimum stake must cover the judge
-    fees of both voting rounds at the largest configured quorum, so fee
-    payment can never run out of escrow; unless given, it is exactly that.
+    Thresholds default to ceil(2n/3).  A configured threshold may not exceed
+    the smallest quorum in use, since a case drawn at that size could never
+    meet it.  The minimum stake must cover the judge fees of both voting
+    rounds at the largest configured quorum, so fee payment can never run out
+    of escrow; unless given, it is exactly that.
     """
 
     judge_fee: int = 1

@@ -119,9 +119,10 @@ class NftRegistry:
 
         Raises UnknownTokenError for an unknown token, InvalidDisputeError
         when the index does not name a kept transfer (it was never made or
-        was cleaned away) or names one already reversed, NotAffectedPartyError when `claimant` is not the
-        index-i owner, WindowElapsedError once the hop's window has closed
-        and FrozenAssetError while the token is frozen.
+        was cleaned away) or names one already reversed, NotAffectedPartyError
+        when `claimant` is not the index-i owner, WindowElapsedError once the
+        hop's window has closed and FrozenAssetError while the token is
+        frozen.
         """
         token = self._token(token_id)
         prior, hop = token.record(index), token.record(index + 1)
